@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test race fmt bench bench-obs bench-smoke fuzz-smoke examples profile
+.PHONY: check build vet lint test race fmt bench bench-obs bench-smoke bench-altd altd-smoke altbench fuzz-smoke examples profile
 
 check: fmt vet build lint race
 
@@ -44,9 +44,11 @@ fmt:
 
 # Simulation-core and experiment-engine throughput guards (see
 # BENCH_sim.json and BENCH_par.json for the recorded before/after numbers;
-# update them from this output when the core or the engine changes).
+# update them from this output when the core or the engine changes), plus
+# the route layer: route-table construction on the 200-node metro and NSFNet.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunCalls|BenchmarkRunShardedCalls|BenchmarkEq15Search|BenchmarkFixedPoint|BenchmarkBlockingSweep' -benchmem -count 3 .
+	$(GO) test -run '^$$' -bench BenchmarkBuildMinHop -benchmem -count 3 ./internal/policy/
 
 # Fast regression tripwire for CI: short benchmarks checked by
 # cmd/benchguard against the recorded baselines. Fails on a >30% calls/sec
@@ -80,6 +82,14 @@ bench-altd:
 altd-smoke:
 	$(GO) test -v -run TestDaemonSmoke ./cmd/altd/
 	$(GO) test -run 'TestReplayEquivalence|TestServerHTTPWire|TestServerConcurrentSwarmSerializes' ./internal/ctrl/
+
+# The end-to-end benchmark (BENCHMARK.json): every workload, its checks and
+# its layer-by-layer trace. cmd/altbench is a module of its own, so the root
+# `go test ./...` does not reach its tests; CI runs them with
+# `go -C cmd/altbench test -short ./...`. Pass flags through ARGS, e.g.
+# `make altbench ARGS='-workload metro-stream -seconds 10'`.
+altbench:
+	bash cmd/altbench/run.sh $(ARGS)
 
 # Short fuzz pass over the Erlang-B / Equation-15 invariants (CI smoke; the
 # checked-in corpora under internal/erlang/testdata/fuzz always run in

@@ -25,6 +25,10 @@ func main() {
 
 	// Every ordered pair offers `rate` Erlangs with the direct primary and
 	// the one 2-hop alternate.
+	table, err := altroute.BuildRouteTable(g, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	buildModel := func(rate float64, admit exact.Admission) exact.Model {
 		var demands []exact.Demand
 		for o := altroute.NodeID(0); o < 3; o++ {
@@ -32,11 +36,10 @@ func main() {
 				if o == d {
 					continue
 				}
-				prim, _ := paths.MinHop(g, o, d)
-				alts := paths.Alternates(g, o, d, prim, 2)
+				rs := table.Routes(o, d)
 				demands = append(demands, exact.Demand{
 					Origin: o, Dest: d, Rate: rate,
-					Routes: []paths.Path{prim, alts[0]},
+					Routes: []paths.Path{rs.Primaries[0].Path, rs.Alternates[0]},
 				})
 			}
 		}

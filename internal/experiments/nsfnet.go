@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
-	"repro/internal/paths"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -62,9 +62,14 @@ type PathCensus struct {
 	Pairs          int
 }
 
-// CensusNSFNet computes the alternate-path census for the NSFNet model.
+// CensusNSFNet computes the alternate-path census for the NSFNet model,
+// read off the min-hop route table the simulations themselves use.
 func CensusNSFNet(h int) (*PathCensus, error) {
 	g := netmodel.NSFNet()
+	t, err := policy.BuildMinHop(g, h)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	c := &PathCensus{H: h, MinAlternates: 1 << 30}
 	total := 0
 	for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
@@ -72,11 +77,7 @@ func CensusNSFNet(h int) (*PathCensus, error) {
 			if s == d {
 				continue
 			}
-			primary, ok := paths.MinHop(g, s, d)
-			if !ok {
-				return nil, fmt.Errorf("experiments: no path %d→%d", s, d)
-			}
-			alts := paths.Alternates(g, s, d, primary, h)
+			alts := t.Routes(s, d).Alternates
 			total += len(alts)
 			if len(alts) < c.MinAlternates {
 				c.MinAlternates = len(alts)

@@ -92,27 +92,33 @@ func Sort(ps []Path) {
 }
 
 // MinHop returns the minimum-hop path from src to dst over up links, with
-// lexicographic tie-breaking, or ok=false if dst is unreachable. It runs a
-// BFS that expands neighbours in ascending node order, then reconstructs the
-// lexicographically smallest shortest path by a second pass.
+// lexicographic tie-breaking, or ok=false if dst is unreachable. It is the
+// one-pair form of MinHopWith: one reverse BFS from dst, then the greedy walk.
 func MinHop(g *graph.Graph, src, dst graph.NodeID) (Path, bool) {
-	n := g.NumNodes()
-	if int(src) >= n || int(dst) >= n || src < 0 || dst < 0 {
+	if !inRange(g, src, dst) {
+		return Path{}, false
+	}
+	return MinHopWith(g, src, dst, DistancesTo(g, dst))
+}
+
+// MinHopWith is MinHop over a precomputed toDst = DistancesTo(g, dst), so a
+// caller routing every source to dst pays for one reverse BFS, not one per
+// pair. dst is reachable exactly when toDst[src] >= 0. The walk then goes
+// forward greedily: from each node it takes the smallest-ID neighbour one hop
+// closer to dst, which yields the lexicographically smallest shortest path.
+func MinHopWith(g *graph.Graph, src, dst graph.NodeID, toDst []int) (Path, bool) {
+	if !inRange(g, src, dst) {
 		return Path{}, false
 	}
 	if src == dst {
 		return Path{Nodes: []graph.NodeID{src}}, true
 	}
-	dist := bfsDistances(g, src)
-	if dist[dst] < 0 {
+	if toDst[src] < 0 {
 		return Path{}, false
 	}
-	// Walk forward greedily: from each node pick the smallest-ID neighbour
-	// that lies on some shortest path (dist exactly one less, counting from
-	// destination side). Recompute distances *to* dst for the greedy walk.
-	toDst := bfsDistancesReverse(g, dst)
-	nodes := []graph.NodeID{src}
-	links := []graph.LinkID{}
+	nodes := make([]graph.NodeID, 1, toDst[src]+1)
+	nodes[0] = src
+	links := make([]graph.LinkID, 0, toDst[src])
 	cur := src
 	for cur != dst {
 		next := graph.InvalidNode
@@ -130,7 +136,7 @@ func MinHop(g *graph.Graph, src, dst graph.NodeID) (Path, bool) {
 			}
 		}
 		if next == graph.InvalidNode {
-			return Path{}, false // should not happen when dist[dst] >= 0
+			return Path{}, false // toDst is not DistancesTo(g, dst)
 		}
 		nodes = append(nodes, next)
 		links = append(links, via)
@@ -139,43 +145,45 @@ func MinHop(g *graph.Graph, src, dst graph.NodeID) (Path, bool) {
 	return Path{Nodes: nodes, Links: links}, true
 }
 
-// bfsDistances returns hop distances from src over up links (−1 if
-// unreachable).
-func bfsDistances(g *graph.Graph, src graph.NodeID) []int {
+// inRange reports whether src and dst are both nodes of g.
+func inRange(g *graph.Graph, src, dst graph.NodeID) bool {
+	n := g.NumNodes()
+	return src >= 0 && dst >= 0 && int(src) < n && int(dst) < n
+}
+
+// DistancesTo returns the hop distance from every node to dst over up links
+// (−1 where dst is unreachable): one BFS over the reversed links.
+func DistancesTo(g *graph.Graph, dst graph.NodeID) []int {
 	dist := make([]int, g.NumNodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []graph.NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, id := range g.Out(v) {
-			l := g.Link(id)
-			if l.Down {
-				continue
-			}
-			if dist[l.To] < 0 {
-				dist[l.To] = dist[v] + 1
-				queue = append(queue, l.To)
-			}
-		}
-	}
+	distancesTo(g, dst, dist, make([]graph.NodeID, 0, len(dist)))
 	return dist
 }
 
-// bfsDistancesReverse returns hop distances to dst over up links.
-func bfsDistancesReverse(g *graph.Graph, dst graph.NodeID) []int {
-	dist := make([]int, g.NumNodes())
+// AllDistancesTo returns DistancesTo(g, d) for every node d, indexed by d.
+// The n rows share one n×n allocation and one BFS queue, so a builder that
+// routes every ordered pair pays n reverse BFS passes in total.
+func AllDistancesTo(g *graph.Graph) [][]int {
+	n := g.NumNodes()
+	slab := make([]int, n*n)
+	queue := make([]graph.NodeID, 0, n)
+	rows := make([][]int, n)
+	for d := range rows {
+		rows[d] = slab[d*n : (d+1)*n : (d+1)*n]
+		distancesTo(g, graph.NodeID(d), rows[d], queue)
+	}
+	return rows
+}
+
+// distancesTo fills dist (len NumNodes) with hop distances to dst, using
+// queue's backing array as the BFS FIFO.
+func distancesTo(g *graph.Graph, dst graph.NodeID, dist []int, queue []graph.NodeID) {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[dst] = 0
-	queue := []graph.NodeID{dst}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], dst)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, id := range g.In(v) {
 			l := g.Link(id)
 			if l.Down {
@@ -187,25 +195,34 @@ func bfsDistancesReverse(g *graph.Graph, dst graph.NodeID) []int {
 			}
 		}
 	}
-	return dist
 }
 
 // AllLoopFree enumerates every loop-free path from src to dst over up links
 // with at most maxHops hops, sorted by (length, lexicographic). maxHops <= 0
-// means no limit (bounded anyway by N−1 for loop-free paths). The
-// enumeration is a depth-first search with an on-path marker; it is exact
-// and intended for the paper-scale topologies (N <= ~16).
+// means no limit (bounded anyway by N−1 for loop-free paths). It is the
+// one-pair form of AllLoopFreeWith.
 func AllLoopFree(g *graph.Graph, src, dst graph.NodeID, maxHops int) []Path {
+	if !inRange(g, src, dst) {
+		return nil
+	}
+	return AllLoopFreeWith(g, src, dst, maxHops, DistancesTo(g, dst))
+}
+
+// AllLoopFreeWith is AllLoopFree over a precomputed toDst = DistancesTo(g,
+// dst). The enumeration is an exact depth-first search with an on-path
+// marker, pruned by toDst: a partial path at node v with h hops used can only
+// reach dst within budget if h + toDst[v] <= maxHops. Its cost is therefore
+// set by the number of paths within the hop limit, not by the graph size —
+// cheap on a large sparse topology under a tight H, exponential on a dense
+// one with H near N−1.
+func AllLoopFreeWith(g *graph.Graph, src, dst graph.NodeID, maxHops int, toDst []int) []Path {
 	n := g.NumNodes()
-	if int(src) >= n || int(dst) >= n || src < 0 || dst < 0 || src == dst {
+	if !inRange(g, src, dst) || src == dst {
 		return nil
 	}
 	if maxHops <= 0 || maxHops > n-1 {
 		maxHops = n - 1
 	}
-	// Prune: a partial path at node v with h hops used can only reach dst
-	// within budget if h + minDist(v→dst) <= maxHops.
-	toDst := bfsDistancesReverse(g, dst)
 	var out []Path
 	onPath := make([]bool, n)
 	nodes := []graph.NodeID{src}
@@ -250,7 +267,15 @@ func AllLoopFree(g *graph.Graph, src, dst graph.NodeID, maxHops int) []Path {
 // increasing length, with the primary path removed. This is the suite a
 // blocked call tries successively (§1 of the paper).
 func Alternates(g *graph.Graph, src, dst graph.NodeID, primary Path, maxHops int) []Path {
-	all := AllLoopFree(g, src, dst, maxHops)
+	if !inRange(g, src, dst) {
+		return nil
+	}
+	return AlternatesWith(g, src, dst, primary, maxHops, DistancesTo(g, dst))
+}
+
+// AlternatesWith is Alternates over a precomputed toDst = DistancesTo(g, dst).
+func AlternatesWith(g *graph.Graph, src, dst graph.NodeID, primary Path, maxHops int, toDst []int) []Path {
+	all := AllLoopFreeWith(g, src, dst, maxHops, toDst)
 	out := all[:0]
 	for _, p := range all {
 		if !p.Equal(primary) {

@@ -78,16 +78,17 @@ func BuildMinHopK(g *graph.Graph, maxAltHops, maxAlternates int) (*Table, error)
 		maxAltHops = n - 1
 	}
 	t := &Table{g: g, MaxAltHops: maxAltHops, n: n, sets: make([]*RouteSet, n*n)}
+	toDst := paths.AllDistancesTo(g)
 	for i := graph.NodeID(0); int(i) < n; i++ {
 		for j := graph.NodeID(0); int(j) < n; j++ {
 			if i == j {
 				continue
 			}
-			primary, ok := paths.MinHop(g, i, j)
+			primary, ok := paths.MinHopWith(g, i, j, toDst[j])
 			if !ok {
 				return nil, fmt.Errorf("policy: no path %d→%d", i, j)
 			}
-			alts := paths.Alternates(g, i, j, primary, maxAltHops)
+			alts := paths.AlternatesWith(g, i, j, primary, maxAltHops, toDst[j])
 			if maxAlternates > 0 && len(alts) > maxAlternates {
 				alts = alts[:maxAlternates]
 			}
@@ -111,6 +112,7 @@ func BuildBifurcated(g *graph.Graph, primaries map[[2]graph.NodeID][]WeightedPat
 		maxAltHops = n - 1
 	}
 	t := &Table{g: g, MaxAltHops: maxAltHops, n: n, sets: make([]*RouteSet, n*n), selectorSeed: selectorSeed}
+	toDst := paths.AllDistancesTo(g)
 	for i := graph.NodeID(0); int(i) < n; i++ {
 		for j := graph.NodeID(0); int(j) < n; j++ {
 			if i == j {
@@ -134,7 +136,7 @@ func BuildBifurcated(g *graph.Graph, primaries map[[2]graph.NodeID][]WeightedPat
 			if total < 1-1e-9 || total > 1+1e-9 {
 				return nil, fmt.Errorf("policy: weights for %d→%d sum to %v", i, j, total)
 			}
-			all := paths.AllLoopFree(g, i, j, maxAltHops)
+			all := paths.AllLoopFreeWith(g, i, j, maxAltHops, toDst[j])
 			var alts []paths.Path
 		next:
 			for _, p := range all {
