@@ -45,10 +45,12 @@ fmt:
 # Simulation-core and experiment-engine throughput guards (see
 # BENCH_sim.json and BENCH_par.json for the recorded before/after numbers;
 # update them from this output when the core or the engine changes), plus
-# the route layer: route-table construction on the 200-node metro and NSFNet.
+# two set-up layers: route-table construction on the 200-node metro and
+# NSFNet, and arrival-stream seeding (metro set-up, NSFNet set-up + drain).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunCalls|BenchmarkRunShardedCalls|BenchmarkEq15Search|BenchmarkFixedPoint|BenchmarkBlockingSweep' -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench BenchmarkBuildMinHop -benchmem -count 3 ./internal/policy/
+	$(GO) test -run '^$$' -bench BenchmarkNewStream -benchmem -count 3 ./internal/sim/
 
 # Fast regression tripwire for CI: short benchmarks checked by
 # cmd/benchguard against the recorded baselines. Fails on a >30% calls/sec
@@ -91,12 +93,14 @@ altd-smoke:
 altbench:
 	bash cmd/altbench/run.sh $(ARGS)
 
-# Short fuzz pass over the Erlang-B / Equation-15 invariants (CI smoke; the
-# checked-in corpora under internal/erlang/testdata/fuzz always run in
-# plain `go test`).
+# Short fuzz pass over the Erlang-B / Equation-15 invariants and the lazily
+# seeded random source's bit-identity with math/rand (CI smoke; the
+# checked-in corpora under internal/*/testdata/fuzz always run in plain
+# `go test`).
 fuzz-smoke:
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzErlangB -fuzztime 10s
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzProtectionLevel -fuzztime 10s
+	$(GO) test ./internal/xrand/ -run '^$$' -fuzz FuzzSourceMatchesStdlib -fuzztime 10s
 
 # Run every example end to end with reduced horizons (the CI examples
 # smoke job). Output goes to /dev/null; a non-zero exit is the signal.

@@ -71,6 +71,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -113,6 +114,11 @@ func main() {
 	failoverFlag := fs.String("failover", "drop", `in-flight calls on a failed link: "drop" or "reroute"`)
 	of := registerObsFlags(fs)
 	if err := fs.Parse(os.Args[2:]); err != nil {
+		os.Exit(2)
+	}
+	if err := checkSpan(*warmup, *horizon); err != nil {
+		fmt.Fprintln(os.Stderr, "altsim:", err)
+		usage()
 		os.Exit(2)
 	}
 	p := experiments.SimParams{Seeds: *seeds, Warmup: *warmup, Horizon: *horizon, Parallelism: *parallel}
@@ -363,6 +369,15 @@ func parseLoads(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// checkSpan rejects a non-finite -warmup or -horizon, which flag parsing
+// accepts ("NaN", "Inf"): no run over such a span ever ends.
+func checkSpan(warmup, horizon float64) error {
+	if math.IsNaN(warmup) || math.IsInf(warmup, 0) || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
+		return fmt.Errorf("-warmup %v and -horizon %v must be finite", warmup, horizon)
+	}
+	return nil
 }
 
 // parseFailover maps the -failover flag to a sim.FailoverMode.

@@ -222,8 +222,8 @@ func GenerateOutages(g *graph.Graph, horizon float64, op OutageParams) (*Failure
 	if !(op.MTBF > 0) || !(op.MTTR > 0) {
 		return nil, fmt.Errorf("sim: outage MTBF %v and MTTR %v must be positive", op.MTBF, op.MTTR)
 	}
-	if math.IsNaN(horizon) || horizon <= 0 {
-		return nil, fmt.Errorf("sim: outage horizon %v must be positive", horizon)
+	if math.IsNaN(horizon) || math.IsInf(horizon, 0) || horizon <= 0 {
+		return nil, fmt.Errorf("sim: outage horizon %v must be positive and finite", horizon)
 	}
 	plan := &FailurePlan{}
 	links := g.LinkView()

@@ -358,6 +358,12 @@ func TestGenerateOutagesDeterministicAndWellFormed(t *testing.T) {
 	if _, err := sim.GenerateOutages(g, 50, sim.OutageParams{MTBF: 0, MTTR: 1}); err == nil {
 		t.Fatal("MTBF <= 0 must error")
 	}
+	// A non-finite horizon would never end a link's renewal loop.
+	for _, h := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := sim.GenerateOutages(g, h, op); err == nil {
+			t.Fatalf("horizon %v must error", h)
+		}
+	}
 }
 
 // TestReadFailurePlanJSON parses the altsim -failures file format.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/graph"
@@ -89,8 +90,9 @@ func NewStreamHolding(m *traffic.Matrix, horizon float64, seed int64, dist Holdi
 }
 
 func newStream(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist, dual bool) (*Stream, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("sim: horizon %v", horizon)
+	// A NaN or infinite horizon would never exhaust the stream.
+	if math.IsNaN(horizon) || math.IsInf(horizon, 0) || horizon <= 0 {
+		return nil, fmt.Errorf("sim: horizon %v must be positive and finite", horizon)
 	}
 	n := m.Size()
 	s := &Stream{horizon: horizon, seed: seed}
@@ -219,8 +221,13 @@ func (s *Stream) Split(k int, class func(origin, dest graph.NodeID) int) ([]*Str
 // Materialize drains the stream into a Trace. Draining a fresh stream
 // reproduces the corresponding GenerateTrace/GenerateTraceHolding output
 // exactly; the generators are implemented this way.
+//
+// The call slice is allocated once, sized from the stream's expected
+// remaining count plus four standard deviations; a longer draw falls back
+// to append. Growing it by doubling instead leaves the heap's size at the
+// final copy to the collector's timing, which showed up as peak RSS.
 func (s *Stream) Materialize() *Trace {
-	var calls []Call
+	calls := make([]Call, 0, s.expectedCalls())
 	for {
 		c, ok := s.Next()
 		if !ok {
@@ -229,6 +236,19 @@ func (s *Stream) Materialize() *Trace {
 		calls = append(calls, c)
 	}
 	return &Trace{Calls: calls, Horizon: s.horizon, Seed: s.seed}
+}
+
+// expectedCalls bounds the number of calls the stream has left to emit:
+// each pending pair emits its pending arrival plus a Poisson number with
+// mean rate·(horizon − next). The total has that mean and at most that
+// variance; the estimate adds 4·√mean + 16 of headroom.
+func (s *Stream) expectedCalls() int {
+	mean := 0.0
+	for _, idx := range s.heap {
+		p := &s.pairs[idx]
+		mean += 1 + p.rate*(s.horizon-p.next)
+	}
+	return int(mean + 4*math.Sqrt(mean) + 16)
 }
 
 // streamLess orders pending arrivals by (epoch, origin, dest) — the same

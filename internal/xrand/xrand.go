@@ -5,6 +5,13 @@
 // the property that makes the paper's common-random-numbers methodology
 // ("each algorithm was run with identical call arrivals and call holding
 // times") exact rather than approximate.
+//
+// Streams from New draw exactly what math/rand's own source would for the
+// mixed seed, but are seeded lazily: the generator's 607-word register is
+// built only if a stream reaches its 274th draw, and earlier draws are
+// computed from the seed in closed form (see source.go). A large sparse
+// topology can therefore open one stream per O-D pair cheaply even when
+// most pairs draw only a few variates per run.
 package xrand
 
 import (
@@ -33,9 +40,11 @@ func Mix(seed int64, keys ...int64) uint64 {
 	return h
 }
 
-// New returns a rand.Rand seeded from the mixed (seed, keys...) tuple.
+// New returns a rand.Rand seeded from the mixed (seed, keys...) tuple. Its
+// draws are bit-identical to rand.New(rand.NewSource(int64(Mix(seed,
+// keys...)))); only the seeding is lazy.
 func New(seed int64, keys ...int64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(Mix(seed, keys...))))
+	return rand.New(newSource(int64(Mix(seed, keys...))))
 }
 
 // Exp draws an exponential variate with the given mean from r, guarding
