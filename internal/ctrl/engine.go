@@ -9,7 +9,6 @@ import (
 	"repro/internal/paths"
 	"repro/internal/routetable"
 	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 // Typed ingest errors. The engine is fed by untrusted clients, so every
@@ -62,11 +61,13 @@ type Metrics struct {
 }
 
 // Engine applies admission and release decisions against a live sim.State
-// through a compiled route table: the same thresholds and branch-poor row
-// scan as sim's runCompiled, so a request trace replayed through the
-// engine makes bit-identical decisions to an offline sim.Run of the
-// equivalent arrival trace. The engine is NOT safe for concurrent use —
-// the Server serializes all access through its batch loop.
+// through a compiled route table and the admission kernel sim's engines
+// share (routetable.Thresholds, read through sim.State.Decide), so a
+// request trace replayed through the engine makes bit-identical decisions
+// to an offline sim.Run of the equivalent arrival trace. The engine owns
+// only its booking: the in-flight map, the estimator feed, and the
+// metrics. It is NOT safe for concurrent use — the Server serializes all
+// access through its batch loop.
 type Engine struct {
 	g  *graph.Graph
 	st *sim.State
@@ -75,14 +76,9 @@ type Engine struct {
 	// (the live Λ̂ feedback loop); nil disables estimation entirely.
 	est *estimate.Estimator
 
-	// Compiled admission state, mirroring sim's fastEngine: thresh[s][k]
-	// is the maximum occupancy at which link k still admits under
-	// threshold set s (−1 for down links), rebuilt on every Recompile.
-	comp     *routetable.Compiled
-	thresh   [][]int
-	back     []int
-	altSets  []uint8
-	defAlt   int
+	// th is the admission kernel bound to st, rebuilt on every
+	// Recompile; compiled reports whether the last Recompile bound it.
+	th       routetable.Thresholds
 	compiled bool
 
 	// inflight maps call id → booked row. Rows alias the compiled table's
@@ -93,10 +89,10 @@ type Engine struct {
 	m Metrics
 }
 
-// NewEngine binds a decision engine to a topology, a live state (nil for
-// all-idle), a compilable policy, and an optional estimator. The policy's
-// table must compile for the topology — a daemon must fail loudly at
-// startup rather than silently serve interpreted decisions.
+// NewEngine binds a decision engine to a topology, a live state over it
+// (nil for all-idle), a compilable policy, and an optional estimator. The
+// policy's table must compile for the topology — a daemon must fail loudly
+// at startup rather than silently serve interpreted decisions.
 func NewEngine(g *graph.Graph, st *sim.State, tc sim.TableCompiler, est *estimate.Estimator) (*Engine, error) {
 	if g == nil || tc == nil {
 		return nil, fmt.Errorf("ctrl: nil graph or policy")
@@ -132,59 +128,8 @@ func (e *Engine) Metrics() Metrics {
 func (e *Engine) Recompile() bool {
 	e.m.Recompiles++
 	comp, ok := e.tc.CompileRoutes()
-	if !ok || comp == nil || comp.Flat == nil ||
-		comp.NumNodes != e.g.NumNodes() || comp.NumLinks != e.g.NumLinks() {
-		e.compiled = false
-		return false
-	}
-	e.comp = comp
-	sets := len(comp.Prot)
-	if sets == 0 {
-		sets = 1
-	}
-	nl := comp.NumLinks
-	if cap(e.back) < sets*nl {
-		e.back = make([]int, sets*nl)
-	}
-	e.back = e.back[:sets*nl]
-	if cap(e.thresh) < sets {
-		e.thresh = make([][]int, sets)
-	}
-	e.thresh = e.thresh[:sets]
-	for s := 0; s < sets; s++ {
-		ts := e.back[s*nl : (s+1)*nl : (s+1)*nl]
-		e.thresh[s] = ts
-		var prot []int
-		if s > 0 && s < len(comp.Prot) {
-			// Set 0 is the primary rule: never protected.
-			prot = comp.Prot[s]
-		}
-		for id := 0; id < nl; id++ {
-			if e.st.LinkDown(graph.LinkID(id)) {
-				ts[id] = -1
-				continue
-			}
-			c := e.g.Link(graph.LinkID(id)).Capacity
-			r := 0
-			if id < len(prot) {
-				r = prot[id]
-			}
-			if r < 0 {
-				r = 0
-			}
-			if r > c {
-				r = c
-			}
-			ts[id] = c - r - 1
-		}
-	}
-	e.altSets = comp.AltSet
-	e.defAlt = 0
-	if sets > 1 {
-		e.defAlt = 1
-	}
-	e.compiled = true
-	return true
+	e.compiled = ok && e.st.Bind(&e.th, comp)
+	return e.compiled
 }
 
 // SetLinkDown applies a link-down/link-up notification to the live state
@@ -214,11 +159,9 @@ func (e *Engine) Admit(now float64, callID int64, origin, dest graph.NodeID) (De
 		return e.admitInterpreted(now, callID, origin, dest), nil
 	}
 
-	f := e.comp
-	p := int(origin)*f.NumNodes + int(dest)
-	start, end := f.PairOff[p], f.PairOff[p+1]
-	alt0 := f.AltStart[p]
-	if alt0 == start {
+	f := e.th.Table()
+	prim, row, blockIdx := e.st.Decide(&e.th, int(origin)*f.NumNodes+int(dest), callID)
+	if prim == routetable.NoRow {
 		// No primaries for the pair: the source table yields the empty
 		// path, which every state admits as a zero-hop carry (nothing
 		// booked) — identical to the simulator's empty-suite rule.
@@ -229,65 +172,24 @@ func (e *Engine) Admit(now float64, callID int64, origin, dest graph.NodeID) (De
 		}
 		return Decision{CallID: callID, Admitted: true, BlockedAt: graph.InvalidLink}, nil
 	}
-
-	// Primary selection: bifurcated pairs reproduce Table.SelectPrimary's
-	// weighted draw against the precomputed cumulative sums.
-	pr := start
-	if alt0-start > 1 {
-		u := xrand.Uniform01(f.SelectorSeed, callID)
-		pr = alt0 - 1
-		for r := start; r < alt0; r++ {
-			if u < f.PrimCum[r] {
-				pr = r
-				break
-			}
-		}
-	}
-	t0 := e.thresh[0]
-	prim := f.Links[f.RowOff[pr]:f.RowOff[pr+1]]
-	blockIdx := -1
-	for i, id := range prim {
-		if e.st.Occupancy(id) > t0[id] {
-			blockIdx = i
-			break
-		}
-	}
+	primLinks := f.Row(prim)
 	blockedAt := graph.InvalidLink
 	if blockIdx >= 0 {
-		blockedAt = prim[blockIdx]
+		blockedAt = primLinks[blockIdx]
 	}
 	if e.est != nil {
 		// Per the paper's convention the set-up packet is observed by each
 		// link up to and including the first blocking one, whatever the
 		// alternates then decide.
-		e.est.ObserveSetup(now, paths.Path{Links: prim}, blockedAt)
+		e.est.ObserveSetup(now, paths.Path{Links: primLinks}, blockedAt)
 	}
-	if blockIdx < 0 {
-		e.book(callID, prim)
-		return Decision{CallID: callID, Admitted: true, Links: prim, BlockedAt: graph.InvalidLink}, nil
+	if row == routetable.NoRow {
+		e.m.Blocked++
+		return Decision{CallID: callID, BlockedAt: blockedAt}, nil
 	}
-	if !f.NoAlternates {
-		for r := alt0; r < end; r++ {
-			ts := e.thresh[e.defAlt]
-			if e.altSets != nil {
-				ts = e.thresh[e.altSets[r]]
-			}
-			alt := f.Links[f.RowOff[r]:f.RowOff[r+1]]
-			good := true
-			for _, id := range alt {
-				if e.st.Occupancy(id) > ts[id] {
-					good = false
-					break
-				}
-			}
-			if good {
-				e.book(callID, alt)
-				return Decision{CallID: callID, Admitted: true, Alternate: true, Links: alt, BlockedAt: graph.InvalidLink}, nil
-			}
-		}
-	}
-	e.m.Blocked++
-	return Decision{CallID: callID, BlockedAt: blockedAt}, nil
+	links := f.Row(row)
+	e.book(callID, links)
+	return Decision{CallID: callID, Admitted: true, Alternate: row != prim, Links: links, BlockedAt: graph.InvalidLink}, nil
 }
 
 // admitInterpreted is the fallback when the table would not compile: the

@@ -250,3 +250,46 @@ func TestServerEstimateEpochs(t *testing.T) {
 		t.Error("hot link has zero Λ̂ despite sustained offered load")
 	}
 }
+
+// TestServerTopologyRejectsWholeRequest: a duplex request over a facility
+// with only one direction is refused before either direction is applied,
+// and the error names the missing direction.
+func TestServerTopologyRejectsWholeRequest(t *testing.T) {
+	g := graph.New()
+	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
+	ab := g.MustAddLink(a, b, 10) // one-way: there is no b→a
+	for _, end := range []graph.NodeID{a, b} {
+		if _, _, err := g.AddDuplex(end, c, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewServer(Config{Graph: g, Policy: quadranglePolicy(t, g, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown()
+	ts := httptest.NewServer(srv.Mux())
+	defer ts.Close()
+	before, err := srv.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tp, code := post[TopologyResponse](t, ts.Client(), ts.URL+"/topology",
+		TopologyRequest{From: "a", To: "b", Down: true, Duplex: true})
+	if code != http.StatusBadRequest || tp.Error != "no link b→a" || len(tp.Links) != 0 {
+		t.Errorf("duplex over a one-way link: %+v (%d), want 400 naming b→a", tp, code)
+	}
+	after, err := srv.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.Engine().State().LinkDown(ab) {
+		t.Error("rejected request took a→b down")
+	}
+	if after.Metrics.Recompiles != before.Metrics.Recompiles {
+		t.Errorf("rejected request recompiled thresholds: %d → %d",
+			before.Metrics.Recompiles, after.Metrics.Recompiles)
+	}
+}

@@ -187,10 +187,20 @@ func (s *Server) handleTopology(w http.ResponseWriter, req *http.Request) {
 			Error: fmt.Sprintf("unknown node %q", tr.To)})
 		return
 	}
-	g := s.eng.g
-	ids := []graph.LinkID{g.LinkBetween(from, to)}
+	// Resolve every direction before applying any, so a rejected request
+	// leaves the topology untouched.
+	ends := [][2]graph.NodeID{{from, to}}
 	if tr.Duplex {
-		ids = append(ids, g.LinkBetween(to, from))
+		ends = append(ends, [2]graph.NodeID{to, from})
+	}
+	g := s.eng.g
+	ids := make([]graph.LinkID, len(ends))
+	for i, e := range ends {
+		if ids[i] = g.LinkBetween(e[0], e[1]); ids[i] == graph.InvalidLink {
+			writeJSON(w, http.StatusBadRequest, TopologyResponse{Down: tr.Down,
+				Error: fmt.Sprintf("no link %s→%s", g.NodeName(e[0]), g.NodeName(e[1]))})
+			return
+		}
 	}
 	at, hasAt := 0.0, false
 	if tr.At != nil {
@@ -198,11 +208,6 @@ func (s *Server) handleTopology(w http.ResponseWriter, req *http.Request) {
 	}
 	resp := TopologyResponse{Down: tr.Down}
 	for _, id := range ids {
-		if id == graph.InvalidLink {
-			writeJSON(w, http.StatusBadRequest, TopologyResponse{Down: tr.Down,
-				Error: fmt.Sprintf("no link %s→%s", tr.From, tr.To)})
-			return
-		}
 		if err := s.Topology(id, tr.Down, at, hasAt); err != nil {
 			resp.Error = err.Error()
 			writeJSON(w, errStatus(err), resp)

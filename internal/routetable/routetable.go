@@ -6,10 +6,14 @@
 // source table and never changes after Finish, so it is safe to share
 // across concurrent runs.
 //
-// The package deliberately knows nothing about admission semantics beyond
-// the protection-level overlay (Compiled): clamping, down-links, and
-// occupancy thresholds are the simulator's business, applied when the
-// table is bound to a run's state.
+// The package also holds the one admission kernel every engine shares.
+// Thresholds binds a Compiled table to a network's capacities and down
+// links, folding clamping, down-links, and the protection overlay into
+// per-link occupancy thresholds; its Decide method is the paper's control
+// rule — primary first, then alternates in order, each link admitting an
+// alternate only while occ ≤ C − r − 1 — as a read-only scan. Callers keep
+// only their own booking: the simulator's occupancy integral, the control
+// plane's in-flight map and estimator.
 package routetable
 
 import "repro/internal/graph"

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/paths"
+	"repro/internal/routetable"
 )
 
 // Policy decides how to route one call given the current network state.
@@ -953,8 +954,8 @@ func Run(cfg Config) (*Result, error) {
 	// including Shards <= 1 — falls through unchanged, so a single-shard
 	// run is the sequential engine, not a one-worker barrier loop.
 	if k := shardCount(cfg); k > 1 && cfg.TopologyHook == nil {
-		if comp, _, ok := compileFor(cfg.Policy, cfg.Graph); ok {
-			return runSharded(cfg, comp, plan, horizon, seed, k)
+		if res, ok := runSharded(cfg, plan, horizon, seed, k); ok {
+			return res, nil
 		}
 	}
 
@@ -991,8 +992,9 @@ func Run(cfg Config) (*Result, error) {
 	l.deps.needMeta = len(plan) > 0
 
 	obs.Emit(l.sink, obs.Event{Kind: obs.KindRunStart, Policy: res.Policy, Seed: seed})
-	if comp, _, ok := compileFor(cfg.Policy, cfg.Graph); ok {
-		l.runCompiled(comp)
+	var th routetable.Thresholds
+	if compileFor(cfg.Policy, st, &th) {
+		l.runCompiled(&th)
 	} else if cfg.Trace != nil {
 		l.runInterpreted(&traceCursor{t: cfg.Trace})
 	} else {

@@ -97,7 +97,7 @@ func shardCount(cfg Config) int {
 // driven between barriers by the arrivals of its local pairs.
 type shardWorker struct {
 	l  *loop
-	fe *fastEngine
+	th *routetable.Thresholds
 	// Local arrivals: a materialized slice (exact-ID mode) or a private
 	// Stream substream (ID-free mode); exactly one is set.
 	calls []Call
@@ -178,7 +178,7 @@ func (w *shardWorker) run() {
 			}
 			pairIdx := int(c.Origin)*l.numNodes + int(c.Dest)
 			measured, win := l.offered(c, pairIdx)
-			l.admitOne(w.fe, c, pairIdx, measured, win)
+			l.admitOne(w.th, c, pairIdx, measured, win)
 		}
 		l.drainTo(K.t)
 		w.done <- struct{}{}
@@ -191,7 +191,7 @@ type sharded struct {
 	st      *State
 	co      *loop
 	workers []*shardWorker
-	fe      *fastEngine
+	th      *routetable.Thresholds
 	horizon float64
 	// Cross arrivals: materialized slice or Stream substream.
 	crossCalls []Call
@@ -280,23 +280,22 @@ func (sh *sharded) applyCross(k evKey) {
 		// rebuilt against the changed topology, as runCompiled does after
 		// every plan group.
 		co.applyPlanGroup()
-		nc, _, ok := compileFor(sh.cfg.Policy, sh.cfg.Graph)
-		if !ok {
+		if !compileFor(sh.cfg.Policy, sh.st, sh.th) {
 			// Unreachable: sharded dispatch requires a compilable policy
 			// and no TopologyHook, and nothing else can change the
 			// table's shape mid-run.
 			panic(fmt.Errorf("sim: sharded mid-run recompile failed"))
 		}
-		sh.fe.reset(sh.st, nc)
-		co.deps.base = nc.Links
+		links := sh.th.Table().Links
+		co.deps.base = links
 		for _, w := range sh.workers {
-			w.l.deps.base = nc.Links
+			w.l.deps.base = links
 		}
 	case classArr:
 		c := sh.nextCross()
 		pairIdx := int(c.Origin)*co.numNodes + int(c.Dest)
 		measured, win := co.offered(c, pairIdx)
-		co.admitOne(sh.fe, c, pairIdx, measured, win)
+		co.admitOne(sh.th, c, pairIdx, measured, win)
 	}
 }
 
@@ -357,12 +356,19 @@ func materializeCalls(cfg Config, horizon float64) []Call {
 
 // runSharded executes one run on k conservative parallel event loops plus
 // a coordinator. The caller has validated the config, normalized the
-// plan, resolved the horizon, and verified the compiled fast path applies
-// and no TopologyHook is set; k is at least 2 and at most the node count.
+// plan, resolved the horizon, and verified no TopologyHook is set; k is at
+// least 2 and at most the node count. It reports false, having run
+// nothing, when the policy does not take the compiled fast path.
 //
 //altlint:spawn-ok bounded pool of k barrier-synchronized workers; joined by WaitGroup before merge
-func runSharded(cfg Config, comp *routetable.Compiled, plan []FailureEvent, horizon float64, seed int64, k int) (*Result, error) {
+func runSharded(cfg Config, plan []FailureEvent, horizon float64, seed int64, k int) (*Result, bool) {
 	g := cfg.Graph
+	st := NewState(g)
+	th := &routetable.Thresholds{}
+	if !compileFor(cfg.Policy, st, th) {
+		return nil, false
+	}
+	comp := th.Table()
 	numNodes, numLinks := g.NumNodes(), g.NumLinks()
 	nodeOwner := graph.Partition(g, k)
 	linkOwner := make([]int32, numLinks)
@@ -371,7 +377,6 @@ func runSharded(cfg Config, comp *routetable.Compiled, plan []FailureEvent, hori
 	}
 	owner, cross := comp.ShardSignature(nodeOwner, linkOwner)
 
-	st := NewState(g)
 	res := &Result{
 		Policy:       cfg.Policy.Name(),
 		LostAtLink:   make([]int64, numLinks),
@@ -381,9 +386,6 @@ func runSharded(cfg Config, comp *routetable.Compiled, plan []FailureEvent, hori
 	pairBlocked := make([]int64, numNodes*numNodes)
 	lastFlush := make([]float64, numLinks)
 	instrumented := cfg.Sink != nil
-
-	fe := &fastEngine{}
-	fe.reset(st, comp)
 
 	// Every loop shares the run's State, per-link occupancy integral, loss
 	// attribution, and dense per-pair counters: the ownership protocol
@@ -432,7 +434,7 @@ func runSharded(cfg Config, comp *routetable.Compiled, plan []FailureEvent, hori
 	for i := range workers {
 		workers[i] = &shardWorker{
 			l:    newLoop(i),
-			fe:   fe,
+			th:   th,
 			cmd:  make(chan evKey),
 			done: make(chan struct{}),
 		}
@@ -442,7 +444,7 @@ func runSharded(cfg Config, comp *routetable.Compiled, plan []FailureEvent, hori
 	for _, w := range workers {
 		co.extraHeaps = append(co.extraHeaps, &w.l.deps)
 	}
-	sh := &sharded{cfg: cfg, st: st, co: co, workers: workers, fe: fe, horizon: horizon}
+	sh := &sharded{cfg: cfg, st: st, co: co, workers: workers, th: th, horizon: horizon}
 
 	// Arrival distribution. Global call IDs are observable through the
 	// event stream, the bifurcated primary draw (PrimCum hashes the ID),
@@ -504,5 +506,5 @@ func runSharded(cfg Config, comp *routetable.Compiled, plan []FailureEvent, hori
 	wg.Wait()
 
 	sh.finish(res, bufs)
-	return res, nil
+	return res, true
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/paths"
+	"repro/internal/routetable"
 )
 
 // State is the instantaneous network state visible to routing policies: the
@@ -68,13 +69,29 @@ func (s *State) SetLinkDown(id graph.LinkID, down bool) {
 
 // linkCap is the single guarded link lookup behind every admission check:
 // it returns the link's capacity and whether the link is usable (in range
-// and up). Free, AdmitsAlternate, and the compiled threshold builder all
-// share it, so the bounds+down rule lives in exactly one place.
+// and up). Free, AdmitsAlternate, and the compiled threshold build (Bind)
+// all share it, so the bounds+down rule lives in exactly one place.
 func (s *State) linkCap(id graph.LinkID) (int, bool) {
 	if uint(id) >= uint(len(s.links)) || s.down[id] {
 		return 0, false
 	}
 	return s.links[id].Capacity, true
+}
+
+// Bind binds th to the compiled table over this state's topology, link
+// capacities, and current down flags, rebuilding every threshold set. It
+// reports false when the table does not fit the topology (see
+// routetable.Thresholds.Reset); call it again after any link changes
+// state.
+func (s *State) Bind(th *routetable.Thresholds, comp *routetable.Compiled) bool {
+	return th.Reset(comp, s.g.NumNodes(), s.g.NumLinks(), s.linkCap)
+}
+
+// Decide runs the compiled admission rule of a bound th for one call of
+// ordered pair pair against the current occupancies, changing nothing
+// (see routetable.Thresholds.Decide).
+func (s *State) Decide(th *routetable.Thresholds, pair int, callID int64) (prim, row int32, blockIdx int) {
+	return th.Decide(s.occ, pair, callID)
 }
 
 // Free returns the spare capacity of the link (0 for down or unknown
