@@ -47,11 +47,13 @@ fmt:
 # update them from this output when the core or the engine changes), plus
 # two set-up layers — route-table construction on the 200-node metro and
 # NSFNet, and arrival-stream seeding (metro set-up, NSFNet set-up + drain) —
-# and the admission-scan layer (one Decide over NSFNet's controlled table).
+# the admission-scan layer (one Decide over NSFNet's controlled table), and
+# the Erlang-bound layer (NSFNet's 12 figure loads; the quadrangle).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunCalls|BenchmarkRunShardedCalls|BenchmarkEq15Search|BenchmarkFixedPoint|BenchmarkBlockingSweep' -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench BenchmarkBuildMinHop -benchmem -count 3 ./internal/policy/
 	$(GO) test -run '^$$' -bench 'BenchmarkNewStream|BenchmarkDecide' -benchmem -count 3 ./internal/sim/
+	$(GO) test -run '^$$' -bench BenchmarkErlangBound -benchmem -count 3 ./internal/bound/
 
 # Fast regression tripwire for CI: short benchmarks checked by
 # cmd/benchguard against the recorded baselines. Fails on a >30% calls/sec
@@ -95,8 +97,9 @@ altbench:
 	bash cmd/altbench/run.sh $(ARGS)
 
 # Short fuzz pass over the Erlang-B / Equation-15 invariants, the lazily
-# seeded random source's bit-identity with math/rand, and the shared
-# admission kernel against the interpreted policies (CI smoke; the
+# seeded random source's bit-identity with math/rand, the shared
+# admission kernel against the interpreted policies, and the pruned Erlang
+# bound against exhaustive cut evaluation (CI smoke; the
 # checked-in corpora under internal/*/testdata/fuzz always run in plain
 # `go test`).
 fuzz-smoke:
@@ -104,6 +107,7 @@ fuzz-smoke:
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzProtectionLevel -fuzztime 10s
 	$(GO) test ./internal/xrand/ -run '^$$' -fuzz FuzzSourceMatchesStdlib -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDecideMatchesRoute -fuzztime 10s
+	$(GO) test ./internal/bound/ -run '^$$' -fuzz FuzzErlangBoundMatchesExhaustive -fuzztime 10s
 
 # Run every example end to end with reduced horizons (the CI examples
 # smoke job). Output goes to /dev/null; a non-zero exit is the signal.
