@@ -50,19 +50,17 @@ fmt:
 # the admission-scan layer (one Decide over NSFNet's controlled table), and
 # the Erlang-bound layer (NSFNet's 12 figure loads; the quadrangle).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunCalls|BenchmarkRunShardedCalls|BenchmarkEq15Search|BenchmarkFixedPoint|BenchmarkBlockingSweep' -benchmem -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkRunCalls|BenchmarkEq15Search|BenchmarkFixedPoint|BenchmarkBlockingSweep' -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench BenchmarkBuildMinHop -benchmem -count 3 ./internal/policy/
 	$(GO) test -run '^$$' -bench 'BenchmarkNewStream|BenchmarkDecide' -benchmem -count 3 ./internal/sim/
 	$(GO) test -run '^$$' -bench BenchmarkErlangBound -benchmem -count 3 ./internal/bound/
 
 # Fast regression tripwire for CI: short benchmarks checked by
-# cmd/benchguard against the recorded baselines. Fails on a >30% calls/sec
-# drop (50% for shard-multi: scheduler-bound on a single-core host, the
-# noisiest guarded metric — see BENCH_shard.json); short -benchtime keeps
-# it cheap (and noisy, hence the generous thresholds).
+# cmd/benchguard against the recorded baseline. Fails on a >30% calls/sec
+# drop; short -benchtime keeps it cheap (and noisy, hence the generous
+# threshold).
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkRunCalls -benchtime 0.3s -count 3 . | $(GO) run ./cmd/benchguard -baseline BENCH_sim.json -max-regress 0.30
-	$(GO) test -run '^$$' -bench BenchmarkRunShardedCalls -benchtime 0.3s -count 3 . | $(GO) run ./cmd/benchguard -baseline BENCH_shard.json -metric shard-seq -metric shard-multi=0.50
 
 # CPU+heap profile of the hot path via BenchmarkRunCalls (replay = event
 # loop only). Inspect with `go tool pprof cpu.out`. For profiling a real

@@ -210,9 +210,9 @@ func CompleteGraph(n, capacity int) *Graph { return netmodel.Complete(n, capacit
 
 // Metro returns a synthetic metropolitan-area topology: pops fully-meshed
 // point-of-presence cliques of popSize nodes joined in a gateway ring by
-// duplex trunks. Built for large-network regimes (and as the sharded
-// engine's natural benchmark: pair with MetroLocalityMatrix so most load
-// stays pop-local).
+// duplex trunks. Built for large-network regimes; pair it with
+// MetroLocalityMatrix so most load stays pop-local (the altbench
+// metro-stream workload runs exactly this pairing).
 func Metro(pops, popSize, intraCapacity, trunkCapacity int) *Graph {
 	return netmodel.Metro(pops, popSize, intraCapacity, trunkCapacity)
 }

@@ -317,58 +317,6 @@ func BenchmarkRunCalls(b *testing.B) {
 	})
 }
 
-// BenchmarkRunShardedCalls measures the sharded engine on its natural
-// workload: the metro topology under a locality-weighted matrix, replaying
-// one pregenerated trace. "shards=1" is the no-overhead contract — the
-// request must dispatch to the sequential engine at sequential speed —
-// while "shards=4" runs the conservative parallel loops (on a multi-core
-// host the speedup shows here; on a single exposed core it measures the
-// barrier protocol's overhead). Guarded by benchguard against
-// BENCH_shard.json via `-metric shard-seq -metric shard-multi`.
-func BenchmarkRunShardedCalls(b *testing.B) {
-	const pops, popSize = 50, 4 // 200 nodes: the scale sharding exists for
-	g := altroute.Metro(pops, popSize, 30, 60)
-	// inter ≪ intra: with ~39k cross-pop ordered pairs vs 600 intra, 0.001
-	// Erlang keeps the synchronization-bearing cross traffic near 1% of
-	// the offered load — the regime the metro generator models.
-	m := altroute.MetroLocalityMatrix(pops, popSize, 6.0, 0.001)
-	scheme, err := altroute.NewScheme(g, m, altroute.SchemeOptions{H: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pol := scheme.Controlled()
-	const horizon, warmup = 40, 5
-	tr := altroute.GenerateTrace(m, horizon, 1)
-	// Warm the lazily built flat route table so neither sub-benchmark's
-	// first iteration pays the one-time flatten.
-	if _, err := altroute.Run(altroute.RunConfig{
-		Graph: g, Policy: pol, Trace: tr, Warmup: warmup,
-	}); err != nil {
-		b.Fatal(err)
-	}
-
-	for _, shards := range []int{1, 4} {
-		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
-			var calls int64
-			carried := 0.0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := altroute.Run(altroute.RunConfig{
-					Graph: g, Policy: pol, Trace: tr, Warmup: warmup, Shards: shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				calls += res.Offered
-				carried = res.Throughput()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "calls/sec")
-			b.ReportMetric(carried, "carried/unit")
-		})
-	}
-}
-
 // BenchmarkEq15Search measures the Equation-15 protection-level derivation
 // as the scheme construction performs it: one search per link, across a
 // grid of load scalings of both paper networks (the shape of the

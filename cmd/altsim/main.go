@@ -44,14 +44,11 @@
 //	bound         Erlang bound values for both paper networks
 //	all           run everything above with the paper's settings
 //
-// Common flags: -seeds, -warmup, -horizon, -loads, -H, -parallel, -shards.
+// Common flags: -seeds, -warmup, -horizon, -loads, -H, -parallel.
 // The -parallel flag caps the worker goroutines of every parallel stage
 // (seed runs, sweep points, fixed-point links); 0 uses GOMAXPROCS, 1 forces
-// sequential execution, and every setting prints identical output. The
-// -shards flag instead parallelizes within each simulation run, splitting
-// its event loop across conservative shards (internal/sim sharded engine);
-// 0 uses GOMAXPROCS, 1 (the default) keeps the sequential engine, and every
-// setting produces bit-identical results and event streams.
+// sequential execution, and every setting prints identical output. Each
+// simulation run is one sequential event loop; parallelism is across runs.
 //
 // Failure flags: -rates (availability outage-rate grid), -mtbf/-mttr inject
 // seeded random outages into custom runs (availability always injects; its
@@ -73,7 +70,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -104,7 +100,6 @@ func main() {
 	csvPath := fs.String("csv", "", "also write sweep data as CSV to this file (quad/nsfnet/h6/ottkrishnan)")
 	scenario := fs.String("scenario", "", "scenario JSON file (custom)")
 	parallel := fs.Int("parallel", 0, "worker goroutines per parallel stage (0 = GOMAXPROCS, 1 = sequential; results identical)")
-	shards := fs.Int("shards", 1, "conservative event-loop shards per simulation run (0 = GOMAXPROCS, 1 = sequential; results identical)")
 	pops := fs.Int("pops", 25, "points of presence in the metro topology (metro)")
 	popSize := fs.Int("popsize", 4, "nodes per point of presence (metro)")
 	ratesFlag := fs.String("rates", "", "comma-separated per-link outage rates (availability; default grid)")
@@ -122,10 +117,6 @@ func main() {
 		os.Exit(2)
 	}
 	p := experiments.SimParams{Seeds: *seeds, Warmup: *warmup, Horizon: *horizon, Parallelism: *parallel}
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
-	p.Shards = *shards
 	obsFinish = of.setup(&p)
 	defer obsFinish()
 	loads, err := parseLoads(*loadsFlag)
@@ -423,7 +414,7 @@ experiments: fig2 quad table1 nsfnet h6 failures skew minloss ottkrishnan
              retrials insensitivity capacity availability custom metro
              export-scenario dot verify report bound all
 flags: -seeds N -warmup T -horizon T -loads a,b,c -H n -csv file -parallel N
-       -shards N -pops N -popsize N
+       -pops N -popsize N
        -rates a,b,c -mtbf T -mttr T -failures plan.json -failover drop|reroute
        -events stream.jsonl -metrics out.json -pprof addr -progress 2s
        -window T`)
@@ -482,9 +473,8 @@ func runCustom(path string, h int, fo failureOpts, p experiments.SimParams) {
 
 // runMetro executes the same three-policy comparison on the synthetic
 // metro topology (netmodel.Metro) under its locality-weighted workload:
-// the named large-network scenario, and — with -shards — the natural
-// input for the sharded engine (pop cliques rarely straddle the
-// partition's cuts, so almost all traffic is shard-local).
+// the named large-network scenario (pop cliques carry almost all traffic,
+// the gateway ring only the thin cross-pop share).
 func runMetro(pops, popSize, h int, loads []float64, fo failureOpts, p experiments.SimParams) {
 	intra, inter := 6.0, 0.01
 	if len(loads) > 0 {
@@ -561,7 +551,7 @@ func runComparison(name string, g *graph.Graph, m *traffic.Matrix, h int, fo fai
 				Graph: g, Policy: pol, Source: src, Warmup: p.Warmup,
 				Failures: plan, Failover: fo.mode,
 				Sink: p.Sink, OccupancyEvents: p.OccupancyEvents,
-				WindowLength: p.WindowLength, Shards: p.Shards,
+				WindowLength: p.WindowLength,
 			})
 			if err != nil {
 				fatal(err)

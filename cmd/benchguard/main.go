@@ -43,17 +43,11 @@ type metricDef struct {
 	key     string
 }
 
-// metricDefs is the allowlist of guardable metrics. stream/replay are the
-// classic end-to-end throughput pair (BENCH_sim.json); shard-seq and
-// shard-multi guard the sharded engine on the metro scenario
-// (BENCH_shard.json): shards=1 is the no-overhead contract (the request
-// must dispatch to the sequential engine at sequential speed), shards=4
-// the conservative-PDES loop itself.
+// metricDefs is the allowlist of guardable metrics: stream/replay, the
+// classic end-to-end throughput pair (BENCH_sim.json).
 var metricDefs = map[string]metricDef{
-	"stream":      {bench: "BenchmarkRunCalls", variant: "stream", unit: "calls/sec", key: "run_calls_stream_calls_per_sec"},
-	"replay":      {bench: "BenchmarkRunCalls", variant: "replay", unit: "calls/sec", key: "run_calls_replay_calls_per_sec"},
-	"shard-seq":   {bench: "BenchmarkRunShardedCalls", variant: "shards=1", unit: "calls/sec", key: "run_sharded_seq_calls_per_sec"},
-	"shard-multi": {bench: "BenchmarkRunShardedCalls", variant: "shards=4", unit: "calls/sec", key: "run_sharded_multi_calls_per_sec"},
+	"stream": {bench: "BenchmarkRunCalls", variant: "stream", unit: "calls/sec", key: "run_calls_stream_calls_per_sec"},
+	"replay": {bench: "BenchmarkRunCalls", variant: "replay", unit: "calls/sec", key: "run_calls_replay_calls_per_sec"},
 }
 
 func metricNames() []string {

@@ -13,8 +13,6 @@ BenchmarkRunCalls/stream-8         	       2	 510000000 ns/op	   2000000 calls/s
 BenchmarkRunCalls/stream-8         	       2	 500000000 ns/op	   2100000 calls/sec	   0.950 carried/unit	  903219 B/op	     351 allocs/op
 BenchmarkRunCalls/replay-8         	       4	 260000000 ns/op	   3300000 calls/sec	   0.950 carried/unit	  168936 B/op	      71 allocs/op
 BenchmarkRunCalls/replay         	       4	 250000000 ns/op	   3400000 calls/sec	   0.950 carried/unit	  168936 B/op	      71 allocs/op
-BenchmarkRunShardedCalls/shards=1-8 	       4	 250000000 ns/op	   3100000 calls/sec	   0.950 carried/unit
-BenchmarkRunShardedCalls/shards=4   	       4	 280000000 ns/op	   2900000 calls/sec	   0.950 carried/unit
 BenchmarkEq15Search/quadrangle@90E/cold-8  	     100	  11000000 ns/op	     312 allocs/op
 PASS
 `
@@ -22,9 +20,7 @@ PASS
 const sampleBaseline = `{
   "optimized": {
     "run_calls_stream_calls_per_sec": [2096423, 2105578, 1957352],
-    "run_calls_replay_calls_per_sec": [3394775, 3340919, 3382691],
-    "run_sharded_seq_calls_per_sec": 3000000,
-    "run_sharded_multi_calls_per_sec": [2800000, 2750000]
+    "run_calls_replay_calls_per_sec": [3394775, 3340919, 3382691]
   }
 }`
 
@@ -36,13 +32,13 @@ func classicPair() []selection {
 
 func TestMetricFlagParsing(t *testing.T) {
 	var m metricFlags
-	for _, v := range []string{"stream", "replay=0.10", "shard-seq=0.05"} {
+	for _, v := range []string{"stream", "replay=0.10"} {
 		if err := m.Set(v); err != nil {
 			t.Fatalf("Set(%q): %v", v, err)
 		}
 	}
 	sels := m.resolve(0.30)
-	want := map[string]float64{"replay": 0.10, "shard-seq": 0.05, "stream": 0.30}
+	want := map[string]float64{"replay": 0.10, "stream": 0.30}
 	if len(sels) != len(want) {
 		t.Fatalf("resolve: %v", sels)
 	}
@@ -51,8 +47,17 @@ func TestMetricFlagParsing(t *testing.T) {
 			t.Errorf("sel[%d] = %+v, want regress %v", i, s, want[s.name])
 		}
 	}
-	for _, bad := range []string{"nosuch", "stream", "shard-multi=1.5", "replay=x"} {
+	// Unknown names and repeats are refused...
+	for _, bad := range []string{"nosuch", "stream", "replay=0.20"} {
 		if err := m.Set(bad); err == nil {
+			t.Errorf("Set(%q) accepted", bad)
+		}
+	}
+	// ...and so are budgets outside [0, 1) or unparsable, on a fresh set
+	// where the name alone would be accepted.
+	for _, bad := range []string{"stream=1.5", "stream=-0.1", "replay=x"} {
+		var fresh metricFlags
+		if err := fresh.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted", bad)
 		}
 	}
@@ -67,7 +72,7 @@ func TestMetricFlagParsing(t *testing.T) {
 func TestParseBenchBestPerMetric(t *testing.T) {
 	var echo strings.Builder
 	var m metricFlags
-	for _, v := range []string{"stream", "replay", "shard-seq", "shard-multi"} {
+	for _, v := range []string{"stream", "replay"} {
 		if err := m.Set(v); err != nil {
 			t.Fatal(err)
 		}
@@ -76,10 +81,8 @@ func TestParseBenchBestPerMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{
-		"stream": 2100000, "replay": 3400000,
-		"shard-seq": 3100000, "shard-multi": 2900000,
-	}
+	// Best of count, from suffixed ("stream-8") and bare ("replay") names.
+	want := map[string]float64{"stream": 2100000, "replay": 3400000}
 	for k, v := range want {
 		if got[k] != v {
 			t.Errorf("best[%s] = %v, want %v", k, got[k], v)
@@ -92,7 +95,7 @@ func TestParseBenchBestPerMetric(t *testing.T) {
 
 func TestBaselineBest(t *testing.T) {
 	var m metricFlags
-	for _, v := range []string{"stream", "replay", "shard-seq", "shard-multi"} {
+	for _, v := range []string{"stream", "replay"} {
 		if err := m.Set(v); err != nil {
 			t.Fatal(err)
 		}
@@ -102,10 +105,7 @@ func TestBaselineBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{
-		"stream": 2105578, "replay": 3394775,
-		"shard-seq": 3000000, "shard-multi": 2800000,
-	}
+	want := map[string]float64{"stream": 2105578, "replay": 3394775}
 	for k, v := range want {
 		if got[k] != v {
 			t.Errorf("baseline best[%s] = %v, want %v", k, got[k], v)
@@ -129,13 +129,14 @@ func TestBaselineBest(t *testing.T) {
 		"run_calls_replay_calls_per_sec": 200}}`), classicPair()); err == nil {
 		t.Error("non-positive baseline should be an error")
 	}
-	// A selected metric missing from the file is an error even when the
-	// classic pair is present.
-	if _, err := baselineBest([]byte(sampleBaseline), []selection{{name: "shard-seq"}, {name: "stream"}}); err != nil {
-		t.Errorf("selected metrics present in file: %v", err)
+	// Only the selected metrics must be in the file: a lone stream key
+	// serves a stream-only selection, and fails one that selects replay.
+	streamOnly := []byte(`{"optimized": {
+		"run_calls_stream_calls_per_sec": 100}}`)
+	if _, err := baselineBest(streamOnly, []selection{{name: "stream"}}); err != nil {
+		t.Errorf("selected metric present in file: %v", err)
 	}
-	if _, err := baselineBest([]byte(`{"optimized": {
-		"run_calls_stream_calls_per_sec": 100}}`), []selection{{name: "shard-seq"}}); err == nil {
+	if _, err := baselineBest(streamOnly, []selection{{name: "replay"}}); err == nil {
 		t.Error("missing selected metric should be an error")
 	}
 }
@@ -167,23 +168,23 @@ func TestCheckThreshold(t *testing.T) {
 // TestCheckPerMetricFloors: the same observation passes or fails
 // depending on each metric's own budget.
 func TestCheckPerMetricFloors(t *testing.T) {
-	baseline := map[string]float64{"shard-seq": 1000000, "shard-multi": 1000000}
-	observed := map[string]float64{"shard-seq": 900000, "shard-multi": 900000}
+	baseline := map[string]float64{"replay": 1000000, "stream": 1000000}
+	observed := map[string]float64{"replay": 900000, "stream": 900000}
 	lines, ok := check(observed, baseline, []selection{
-		{name: "shard-multi", regress: 0.30},
-		{name: "shard-seq", regress: 0.30},
+		{name: "replay", regress: 0.30},
+		{name: "stream", regress: 0.30},
 	})
 	if !ok {
 		t.Fatalf("10%% drop under a 30%% budget should pass: %v", lines)
 	}
 	lines, ok = check(observed, baseline, []selection{
-		{name: "shard-multi", regress: 0.30},
-		{name: "shard-seq", regress: 0.05},
+		{name: "replay", regress: 0.30},
+		{name: "stream", regress: 0.05},
 	})
 	if ok {
 		t.Fatalf("10%% drop under a 5%% budget should fail: %v", lines)
 	}
 	if len(lines) != 2 || !strings.Contains(lines[1], "FAIL") || strings.Contains(lines[0], "FAIL") {
-		t.Fatalf("expected only shard-seq to fail: %v", lines)
+		t.Fatalf("expected only stream to fail: %v", lines)
 	}
 }

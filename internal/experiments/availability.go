@@ -130,7 +130,7 @@ func AvailabilitySweep(name string, g *graph.Graph, m *traffic.Matrix,
 				Graph: g, Trace: tr, Warmup: p.Warmup,
 				Failures: plan, Failover: mode,
 				Sink: sink, OccupancyEvents: p.OccupancyEvents,
-				WindowLength: p.WindowLength, Shards: p.Shards,
+				WindowLength: p.WindowLength,
 			}
 			for pi, pol := range static {
 				cfg := base

@@ -52,12 +52,6 @@ type SimParams struct {
 	// populated and window-closed events join the stream. Zero keeps the
 	// historical stream byte-identical.
 	WindowLength float64
-	// Shards splits every simulation run itself across conservative
-	// parallel event loops (sim.Config.Shards): 0 or 1 keeps the
-	// sequential engine. Results and event streams are bit-identical at
-	// every setting; combine with Parallelism=1 to parallelize within
-	// runs instead of across them.
-	Shards int
 }
 
 func (p SimParams) withDefaults() SimParams {
@@ -175,7 +169,7 @@ func runPoliciesDeferred(g *graph.Graph, m *traffic.Matrix, pols []sim.Policy, p
 			res, err := sim.Run(sim.Config{
 				Graph: g, Policy: pol, Trace: tr, Warmup: p.Warmup,
 				Sink: sink, OccupancyEvents: p.OccupancyEvents,
-				WindowLength: p.WindowLength, Shards: p.Shards,
+				WindowLength: p.WindowLength,
 			})
 			if err != nil {
 				sr.err = fmt.Errorf("experiments: %s seed %d: %w", pol.Name(), seed, err)

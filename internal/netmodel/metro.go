@@ -14,11 +14,12 @@ import (
 // intraCapacity per direction, ring trunks trunkCapacity.
 //
 // The generator exists for the large-network regimes the paper's published
-// topologies cannot reach (hundreds to thousands of nodes): the clique/
-// trunk structure gives the sharded simulation engine a natural cut — pops
-// rarely straddle shards, so almost all traffic under a locality-weighted
-// matrix (traffic.MetroLocality) stays shard-local — and gives the
+// topologies cannot reach (hundreds to thousands of nodes): under a
+// locality-weighted matrix (traffic.MetroLocality) almost all traffic stays
+// inside a pop clique, and the clique/trunk structure gives the
 // metastability experiments a mesh with genuine alternate-path diversity.
+// altbench's metro-stream workload runs it at Metro(50, 4, 30, 60), 200
+// nodes.
 //
 // pops must be at least 3 (a two-pop ring would duplicate its trunk) and
 // popSize at least 1; with popSize 1 the topology degenerates to

@@ -63,21 +63,3 @@ func TestMetroDegenerate(t *testing.T) {
 		}()
 	}
 }
-
-// TestMetroPartitionAligns checks the intended interplay with the shard
-// partitioner: on a balanced metro, the greedy cut never splits a pop when
-// shards divide the pop count evenly.
-func TestMetroPartitionAligns(t *testing.T) {
-	pops, popSize := 8, 5
-	g := Metro(pops, popSize, 100, 20)
-	owner := graph.Partition(g, 4)
-	for p := 0; p < pops; p++ {
-		first := owner[int(MetroGateway(p, popSize))]
-		for i := 1; i < popSize; i++ {
-			v := p*popSize + i
-			if owner[v] != first {
-				t.Fatalf("pop %d split: node %d in shard %d, gateway in %d", p, v, owner[v], first)
-			}
-		}
-	}
-}

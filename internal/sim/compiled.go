@@ -70,8 +70,8 @@ func (l *loop) nextEpochs() (dep, plan float64) {
 // (routetable.Thresholds.Decide) picks the row, and admitOne books it —
 // each hop's occupancy integral flushed at the arrival epoch, then
 // incremented — or attributes the loss to the primary's first blocking
-// link. It reports whether the call was carried. runCompiled and the
-// sharded engine's per-shard loops and barrier coordinator all call it.
+// link. It reports whether the call was carried. runCompiled calls it once
+// per arrival.
 //
 //altlint:hotpath
 func (l *loop) admitOne(th *routetable.Thresholds, c Call, pairIdx int, measured bool, win *WindowStats) bool {

@@ -707,6 +707,35 @@ func TestGoldenAggregateFoldback(t *testing.T) {
 	}
 }
 
+// TestGoldenDepartureEpochTies counts the golden traces' calls whose
+// departure epoch Arrival+Holding — computed exactly as Run schedules it —
+// equals another call's. Equal-epoch departures pop in the heap's array
+// order, which only a binary heap reproduces, so a zero count is what lets
+// another queue structure pass the golden suites (DESIGN.md §8). Every
+// call counts, admitted or not, so the count is a policy-independent upper
+// bound on the admitted departures that tie.
+func TestGoldenDepartureEpochTies(t *testing.T) {
+	for _, sc := range goldenScenarios(t) {
+		for _, seed := range goldenSeeds {
+			trace := sim.GenerateTrace(sc.m, sc.horizon, seed)
+			epochs := make([]float64, len(trace.Calls))
+			for i, c := range trace.Calls {
+				epochs[i] = c.Arrival + c.Holding
+			}
+			sort.Float64s(epochs)
+			tied := 0
+			for i, e := range epochs {
+				if (i > 0 && epochs[i-1] == e) || (i+1 < len(epochs) && epochs[i+1] == e) {
+					tied++
+				}
+			}
+			if tied != 0 {
+				t.Errorf("%s/seed=%d: %d of %d calls share a departure epoch", sc.name, seed, tied, len(trace.Calls))
+			}
+		}
+	}
+}
+
 // --- Parallel-equivalence suite ---------------------------------------------
 
 // requireSameSweep fails unless the two sweeps agree exactly: same series

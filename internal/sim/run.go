@@ -70,16 +70,6 @@ type Config struct {
 	// LostToFailure; FailoverReroute grants each one re-admission attempt
 	// over the surviving topology first.
 	Failover FailoverMode
-	// Shards, when greater than 1, partitions the network over a balanced
-	// minimum-crossing-capacity cut (graph.Partition) and runs one event
-	// loop per shard, exchanging cross-shard work at deterministic epoch
-	// barriers (conservative PDES — see DESIGN.md §15). Results and event
-	// streams are bit-identical to the sequential engines for any shard
-	// count. Sharding requires the compiled fast path (a TableCompiler
-	// policy) and no TopologyHook; configurations outside that envelope,
-	// and Shards values of 0 or 1, run the sequential engines unchanged.
-	// The count is clamped to the node count.
-	Shards int
 	// TopologyHook, when non-nil, runs after every failure/repair epoch's
 	// state changes and before affected calls are torn down or rerouted —
 	// the attachment point for online scheme adaptation (see
@@ -396,12 +386,6 @@ type loop struct {
 	pi      int
 	horizon float64
 
-	// extraHeaps lists other loops' departure heaps whose in-flight calls a
-	// plan group must also tear down — the sharded coordinator names every
-	// worker heap here (workers are parked when plan groups run). Nil on
-	// sequential runs.
-	extraHeaps []*departureHeap
-
 	numNodes                 int
 	pairOffered, pairBlocked []int64
 
@@ -416,8 +400,8 @@ type loop struct {
 	// link's utilization sum is flushed only when that link's occupancy
 	// changes (plus once at the horizon), never at unrelated events. The
 	// split points of a link's floating-point sum therefore depend only on
-	// the link's own admission/departure epochs — an order invariant across
-	// the interpreted, compiled, and sharded engines — and the per-event
+	// the link's own admission/departure epochs — an order invariant shared
+	// by the interpreted and compiled engines — and the per-event
 	// cost is O(hops) instead of O(links).
 	util []float64
 	last []float64
@@ -544,9 +528,6 @@ func (l *loop) applyPlanGroup() {
 		return false
 	}
 	torn := l.deps.extract(hitsDowned)
-	for _, h := range l.extraHeaps {
-		torn = append(torn, h.extract(hitsDowned)...)
-	}
 	if len(torn) == 0 {
 		return
 	}
@@ -946,17 +927,6 @@ func Run(cfg Config) (*Result, error) {
 	plan, err := cfg.Failures.normalized(cfg.Graph)
 	if err != nil {
 		return nil, err
-	}
-
-	// Sharded dispatch: a multi-shard request on a compiled, hook-less
-	// configuration runs on the conservative-PDES engine (shard.go), which
-	// is bit-identical to the sequential path below. Everything else —
-	// including Shards <= 1 — falls through unchanged, so a single-shard
-	// run is the sequential engine, not a one-worker barrier loop.
-	if k := shardCount(cfg); k > 1 && cfg.TopologyHook == nil {
-		if res, ok := runSharded(cfg, plan, horizon, seed, k); ok {
-			return res, nil
-		}
 	}
 
 	st := NewState(cfg.Graph)

@@ -182,42 +182,6 @@ func (s *Stream) Peek() (at float64, origin, dest graph.NodeID, ok bool) {
 	return p.next, p.origin, p.dest, true
 }
 
-// Split partitions a fresh stream's O-D pairs into k substreams by the
-// given classifier (which must return a bucket in [0, k) for every pair
-// the stream carries). Each pair moves — with its pending arrival and its
-// private rand substreams — into exactly one bucket, so every substream
-// emits precisely the calls of its pairs with the same epochs, holding
-// times, and relative order the parent would have emitted them in; only
-// the call IDs differ (each substream numbers its own calls from zero).
-// The sharded engine uses this for arrival generation without cross-shard
-// coordination: per-pair substreams are independent by construction.
-//
-// The parent stream must not have emitted any call yet and must not be
-// used again after the split.
-func (s *Stream) Split(k int, class func(origin, dest graph.NodeID) int) ([]*Stream, error) {
-	if s.emitted != 0 {
-		return nil, fmt.Errorf("sim: cannot split a stream after %d calls were emitted", s.emitted)
-	}
-	out := make([]*Stream, k)
-	for b := range out {
-		out[b] = &Stream{horizon: s.horizon, seed: s.seed}
-	}
-	// Pairs move in parent order, so each substream's pair layout — and
-	// therefore its heap tie-breaking — is deterministic.
-	for i := range s.pairs {
-		p := &s.pairs[i]
-		b := class(p.origin, p.dest)
-		if b < 0 || b >= k {
-			return nil, fmt.Errorf("sim: split class %d for pair %d→%d outside [0,%d)", b, p.origin, p.dest, k)
-		}
-		t := out[b]
-		t.pairs = append(t.pairs, *p)
-		t.heapPush(int32(len(t.pairs) - 1))
-	}
-	s.pairs, s.heap = nil, nil
-	return out, nil
-}
-
 // Materialize drains the stream into a Trace. Draining a fresh stream
 // reproduces the corresponding GenerateTrace/GenerateTraceHolding output
 // exactly; the generators are implemented this way.

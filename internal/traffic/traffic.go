@@ -103,9 +103,10 @@ func Uniform(n int, demand float64) *Matrix {
 // MetroLocality returns the locality-weighted workload for a
 // netmodel.Metro topology of pops×popSize nodes: every ordered pair
 // inside one pop demands intra Erlangs, every cross-pop pair inter. With
-// inter ≪ intra the cross-pop pairs — the only calls the sharded engine
-// must synchronize on — are a small fraction of the load, mirroring how
-// metropolitan traffic concentrates inside a point of presence.
+// inter ≪ intra the cross-pop pairs — the only calls that ride the
+// gateway trunks — are a small fraction of the load, mirroring how
+// metropolitan traffic concentrates inside a point of presence. altbench's
+// metro-stream workload feeds this matrix to sim.NewStream.
 func MetroLocality(pops, popSize int, intra, inter float64) *Matrix {
 	n := pops * popSize
 	m := NewMatrix(n)
