@@ -7,7 +7,7 @@
 // bit-identically to sim.Run. Observed set-ups feed the EWMA Λ̂ estimator,
 // and estimate epochs re-derive the protection levels through the shared
 // Erlang cache; POST /topology notifications recompile the thresholds the
-// way the simulation engines do at failure epochs.
+// way sim.Run does at failure epochs.
 //
 // Usage:
 //
@@ -76,8 +76,6 @@ type options struct {
 	tick      time.Duration
 	events    string
 	window    float64
-	batch     int
-	queue     int
 }
 
 func parseFlags(args []string, stderr io.Writer) (*options, error) {
@@ -94,8 +92,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.DurationVar(&o.tick, "tick", time.Second, "estimator tick period in wall time (0 disables ticks)")
 	fs.StringVar(&o.events, "events", "", "write the decision event stream as JSONL to this file")
 	fs.Float64Var(&o.window, "window", 5, "windowed time-series width in model time units (0 disables)")
-	fs.IntVar(&o.batch, "batch", 0, "decision micro-batch size (0 = default)")
-	fs.IntVar(&o.queue, "queue", 0, "decision queue depth (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -177,10 +173,8 @@ func newDaemon(o *options, stderr io.Writer) (*daemon, error) {
 	}
 
 	cfg := ctrl.Config{
-		Graph:      g,
-		Sink:       obs.Multi(sinks...),
-		BatchSize:  o.batch,
-		QueueDepth: o.queue,
+		Graph: g,
+		Sink:  obs.Multi(sinks...),
 	}
 	// The wall clock stays out of internal/ctrl: the daemon injects the
 	// wall→model mapping, so requests without an explicit "at" are stamped

@@ -220,7 +220,7 @@ func funcKey(fn *types.Func) string {
 }
 
 // displayKey shortens a FuncInfo key for messages: the package path keeps
-// only its last element (sim.loop.runCompiled).
+// only its last element (sim.loop.run).
 func displayKey(key string) string {
 	if slash := strings.LastIndexByte(key, '/'); slash >= 0 {
 		return key[slash+1:]

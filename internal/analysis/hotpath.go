@@ -14,7 +14,7 @@ import (
 )
 
 // Hotpath machine-checks the zero-allocation contract of the simulator's
-// hot path: functions annotated `//altlint:hotpath` (sim.Run, runCompiled,
+// hot path: functions annotated `//altlint:hotpath` (sim.Run, loop.run,
 // the departure heap, obs.Emit, the timeseries fold) are compiled with the
 // gc escape analysis enabled (`go build -gcflags=-m=2`) and every heap
 // escape or closure allocation attributed inside an annotated function is
@@ -27,7 +27,10 @@ import (
 // per call are both recorded, and the baseline freezes the exact set so
 // any regression — a variable newly moved to heap, a closure that starts
 // escaping, an interface boxing introduced by a refactor — shows up as a
-// diff against the recorded state.
+// diff against the recorded state. The diff runs both ways: a key for a
+// function that is gone or unannotated, or a sanctioned escape that no
+// longer occurs, is a stale sanction and a finding too (keys are judged
+// only for the packages under analysis).
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "escape-analysis diff for //altlint:hotpath functions against lint_baseline.json",
@@ -95,9 +98,10 @@ type escapeDiag struct {
 }
 
 // runHotpath diffs the escape set of this package's annotated functions
-// against the baseline.
+// against the baseline, in both directions.
 func runHotpath(pass *Pass) {
 	m := pass.Mod
+	reportStaleKeys(pass)
 	annotated := make([]*FuncInfo, 0, 4)
 	for _, fi := range m.funcsOf(pass.Pkg) {
 		if _, ok := fi.Ann["hotpath"]; ok {
@@ -133,6 +137,41 @@ func runHotpath(pass *Pass) {
 				"new heap escape in hotpath function %s: %s (sanction it with BASELINE_UPDATE=1 make lint if deliberate)",
 				displayKey(fi.Key), d.Msg)
 		}
+		for _, msg := range sanctioned {
+			if remaining[msg] > 0 {
+				remaining[msg]--
+				pass.Report(fi.Decl.Pos(),
+					"stale baseline sanction for hotpath function %s: %q no longer occurs (drop it with BASELINE_UPDATE=1 make lint)",
+					displayKey(fi.Key), msg)
+			}
+		}
+	}
+}
+
+// reportStaleKeys flags this package's baseline keys that name no
+// //altlint:hotpath function: it was renamed, deleted, or unannotated.
+func reportStaleKeys(pass *Pass) {
+	var keys []string
+	if b := pass.Mod.Baseline; b != nil {
+		for key := range b.Hotpath {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		var pos token.Pos
+		if fi := pass.Mod.funcs[key]; fi != nil {
+			if _, ok := fi.Ann["hotpath"]; ok || fi.Pkg != pass.Pkg {
+				continue
+			}
+			pos = fi.Decl.Pos()
+		} else if rest, ok := strings.CutPrefix(key, pass.Pkg.PkgPath+"."); !ok || strings.Contains(rest, "/") {
+			continue // a key's package is its path up to the first dot after the last slash
+		} else if len(pass.Pkg.Files) > 0 {
+			pos = pass.Pkg.Files[0].Package
+		}
+		pass.Report(pos, "stale baseline entry %s: no //altlint:hotpath function by that name (drop it with BASELINE_UPDATE=1 make lint)",
+			displayKey(key))
 	}
 }
 

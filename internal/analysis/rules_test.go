@@ -209,6 +209,47 @@ func TestHotpathBaselineSanctions(t *testing.T) {
 	}
 }
 
+// TestHotpathStaleBaseline checks the reverse diff: sanctions nothing uses
+// any more are findings — a key for a function that does not exist, a key
+// for a function without the annotation, and a sanctioned escape that no
+// longer occurs — while a key for a package outside the analysed set is
+// left alone.
+func TestHotpathStaleBaseline(t *testing.T) {
+	pkgs, err := analysis.Load("", "./testdata/src/hotpath")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	hp, err := analysis.HotpathBaseline(pkgs)
+	if err != nil {
+		t.Fatalf("collecting baseline: %v", err)
+	}
+	const pkg = "repro/internal/analysis/testdata/src/hotpath"
+	hp[pkg+".Gone"] = []string{}
+	hp[pkg+".Cold"] = []string{}
+	hp[pkg+".Sum"] = []string{"total escapes to heap"}
+	hp["repro/internal/analysis/testdata/src/hotpathother.Elsewhere"] = []string{}
+	findings := analysis.RunOpts(pkgs, []*analysis.Analyzer{analysis.Hotpath}, &analysis.Baseline{Hotpath: hp})
+	want := []string{
+		"stale baseline entry hotpath.Cold: no //altlint:hotpath function",
+		"stale baseline entry hotpath.Gone: no //altlint:hotpath function",
+		`stale baseline sanction for hotpath function hotpath.Sum: "total escapes to heap" no longer occurs`,
+	}
+	if len(findings) != len(want) {
+		t.Fatalf("got %d findings, want %d:%s", len(findings), len(want), renderFindings(findings))
+	}
+	for _, w := range want {
+		found := false
+		for _, f := range findings {
+			if f.Rule == "hotpath" && strings.Contains(f.Message, w) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("missing finding %q; got:%s", w, renderFindings(findings))
+		}
+	}
+}
+
 // TestSuppressionEdgeCases covers the directive corner cases: ignores
 // above multi-line statements (anchored to the finding's line, not the
 // statement), duplicated directives, directives inside generated files,

@@ -1,7 +1,7 @@
 // Package hotpath exercises the hotpath escape-analysis rule: the
 // annotated function allocates, and with an empty baseline that escape is
 // a finding; the test then sanctions it through an explicit baseline and
-// expects silence.
+// expects silence. Cold is unannotated, for the stale-baseline test.
 package hotpath
 
 // Grow is annotated hotpath and returns a fresh slice — a heap escape.
@@ -21,4 +21,9 @@ func Sum(xs []int) int {
 		total += x
 	}
 	return total
+}
+
+// Cold is not annotated: a baseline key naming it is stale.
+func Cold(xs []int) []int {
+	return append(xs, 0)
 }

@@ -4,11 +4,13 @@
 // sim.State through the compiled route tables (the same thresholds and
 // branch-poor row scan as the simulator's fast path, so replayed request
 // traces decide bit-identically to an offline sim.Run); a Server
-// serializes concurrent clients onto one decision loop with micro-batched
-// draining, feeds observed set-ups into the EWMA Λ̂ estimator, re-derives
-// protection levels at estimate epochs (core.AdaptiveScheme generalized
-// from failure epochs), and reacts to link-down/up notifications by
-// recompiling thresholds exactly as the simulation engines do.
+// serializes concurrent clients onto one decision loop that takes requests
+// one at a time, feeds observed set-ups into the EWMA Λ̂ estimator,
+// re-derives protection levels at estimate epochs (core.AdaptiveScheme
+// generalized from failure epochs), and reacts to link-down/up
+// notifications by recompiling thresholds exactly as sim.Run does. While a
+// recompile fails, admissions are refused with ErrNotCompiled rather than
+// decided against stale thresholds.
 //
 // The package is deterministic by construction: it never reads a wall
 // clock (timestamps are injected — requests carry them, or cmd/altd's

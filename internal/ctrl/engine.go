@@ -23,6 +23,10 @@ var (
 	// ErrBadNode rejects an admit whose origin or destination is outside
 	// the topology (or origin == destination).
 	ErrBadNode = errors.New("ctrl: invalid origin/destination")
+	// ErrNotCompiled refuses an admit while the policy's table does not
+	// compile for the live topology (the last Recompile failed): the
+	// engine never decides against stale thresholds.
+	ErrNotCompiled = errors.New("ctrl: policy table does not compile")
 )
 
 // Decision is the outcome of one admission.
@@ -52,22 +56,19 @@ type Metrics struct {
 	DuplicateAdmits uint64 `json:"duplicate_admits"`
 	UnknownReleases uint64 `json:"unknown_releases"`
 	ReleaseIdle     uint64 `json:"release_idle"`
-	// Recompiles counts threshold rebuilds (topology + estimate epochs);
-	// FallbackDecisions counts admissions routed through the interpreted
-	// policy because the table would not compile.
-	Recompiles        uint64 `json:"recompiles"`
-	FallbackDecisions uint64 `json:"fallback_decisions"`
-	InFlight          int    `json:"in_flight"`
+	// Recompiles counts threshold rebuilds (topology + estimate epochs).
+	Recompiles uint64 `json:"recompiles"`
+	InFlight   int    `json:"in_flight"`
 }
 
 // Engine applies admission and release decisions against a live sim.State
-// through a compiled route table and the admission kernel sim's engines
-// share (routetable.Thresholds, read through sim.State.Decide), so a
+// through a compiled route table and the admission kernel sim.Run shares
+// (routetable.Thresholds, read through sim.State.Decide), so a
 // request trace replayed through the engine makes bit-identical decisions
 // to an offline sim.Run of the equivalent arrival trace. The engine owns
 // only its booking: the in-flight map, the estimator feed, and the
 // metrics. It is NOT safe for concurrent use — the Server serializes all
-// access through its batch loop.
+// access through its decision loop.
 type Engine struct {
 	g  *graph.Graph
 	st *sim.State
@@ -92,7 +93,7 @@ type Engine struct {
 // NewEngine binds a decision engine to a topology, a live state over it
 // (nil for all-idle), a compilable policy, and an optional estimator. The
 // policy's table must compile for the topology — a daemon must fail loudly
-// at startup rather than silently serve interpreted decisions.
+// at startup rather than come up unable to admit.
 func NewEngine(g *graph.Graph, st *sim.State, tc sim.TableCompiler, est *estimate.Estimator) (*Engine, error) {
 	if g == nil || tc == nil {
 		return nil, fmt.Errorf("ctrl: nil graph or policy")
@@ -109,7 +110,7 @@ func NewEngine(g *graph.Graph, st *sim.State, tc sim.TableCompiler, est *estimat
 
 // State exposes the live network state (for status snapshots and the
 // adaptive scheme's rederivation; callers must not mutate it outside the
-// server's batch loop).
+// server's decision loop).
 func (e *Engine) State() *sim.State { return e.st }
 
 // Metrics returns a snapshot of the decision counters.
@@ -121,10 +122,9 @@ func (e *Engine) Metrics() Metrics {
 
 // Recompile re-resolves the policy's compiled table and rebuilds every
 // threshold set from the state's current capacities and down flags — the
-// same rebuild sim's engines perform at failure/repair epochs. It reports
-// whether the compiled path is active; on failure the engine falls back
-// to interpreted Route calls (same decisions, slower) until a later
-// Recompile succeeds.
+// same rebuild sim.Run performs at failure/repair epochs. It reports
+// whether the thresholds are bound; on failure Admit returns
+// ErrNotCompiled until a later Recompile succeeds (releases still work).
 func (e *Engine) Recompile() bool {
 	e.m.Recompiles++
 	comp, ok := e.tc.CompileRoutes()
@@ -133,8 +133,8 @@ func (e *Engine) Recompile() bool {
 }
 
 // SetLinkDown applies a link-down/link-up notification to the live state
-// and rebuilds the thresholds, exactly as the simulation engines do at
-// failure epochs. Calls in flight over a failing link stay booked (their
+// and rebuilds the thresholds, exactly as sim.Run does at failure
+// epochs. Calls in flight over a failing link stay booked (their
 // release keeps the accounting consistent, mirroring sim.State's
 // release-down-links rule).
 func (e *Engine) SetLinkDown(id graph.LinkID, down bool) {
@@ -154,10 +154,10 @@ func (e *Engine) Admit(now float64, callID int64, origin, dest graph.NodeID) (De
 		e.m.DuplicateAdmits++
 		return Decision{CallID: callID}, fmt.Errorf("%w: %d", ErrDuplicateCall, callID)
 	}
-	e.m.Offered++
 	if !e.compiled {
-		return e.admitInterpreted(now, callID, origin, dest), nil
+		return Decision{CallID: callID}, ErrNotCompiled
 	}
+	e.m.Offered++
 
 	f := e.th.Table()
 	prim, row, blockIdx := e.st.Decide(&e.th, int(origin)*f.NumNodes+int(dest), callID)
@@ -187,44 +187,13 @@ func (e *Engine) Admit(now float64, callID int64, origin, dest graph.NodeID) (De
 		e.m.Blocked++
 		return Decision{CallID: callID, BlockedAt: blockedAt}, nil
 	}
+	// The scan just proved every hop admits, so Occupy cannot panic; the
+	// row is remembered for the release.
 	links := f.Row(row)
-	e.book(callID, links)
-	return Decision{CallID: callID, Admitted: true, Alternate: row != prim, Links: links, BlockedAt: graph.InvalidLink}, nil
-}
-
-// admitInterpreted is the fallback when the table would not compile: the
-// policy's Route method makes the (identical) decision at interpreted
-// speed.
-func (e *Engine) admitInterpreted(now float64, callID int64, origin, dest graph.NodeID) Decision {
-	e.m.FallbackDecisions++
-	c := sim.Call{ID: int(callID), Origin: origin, Dest: dest, Arrival: now}
-	if e.est != nil {
-		prim := e.tc.PrimaryPath(e.st, c)
-		_, blockedAt := e.st.PathAdmitsPrimary(prim)
-		e.est.ObserveSetup(now, prim, blockedAt)
-	}
-	if p, alternate, ok := e.tc.Route(e.st, c); ok {
-		e.book(callID, p.Links)
-		return Decision{CallID: callID, Admitted: true, Alternate: alternate, Links: p.Links, BlockedAt: graph.InvalidLink}
-	}
-	blockedAt := graph.InvalidLink
-	prim := e.tc.PrimaryPath(e.st, c)
-	if admitted, blockLink := e.st.PathAdmitsPrimary(prim); !admitted {
-		blockedAt = blockLink
-	}
-	e.m.Blocked++
-	return Decision{CallID: callID, BlockedAt: blockedAt}
-}
-
-// book records an admission: occupancy incremented on every hop, the row
-// remembered for the release. The admission scan just proved every hop
-// admits, so Occupy cannot panic.
-func (e *Engine) book(callID int64, links []graph.LinkID) {
-	if len(links) > 0 {
-		e.st.Occupy(paths.Path{Links: links})
-	}
+	e.st.Occupy(paths.Path{Links: links})
 	e.inflight[callID] = links
 	e.m.Admitted++
+	return Decision{CallID: callID, Admitted: true, Alternate: row != prim, Links: links, BlockedAt: graph.InvalidLink}, nil
 }
 
 // Release retires a call and frees its booked path. A release for an

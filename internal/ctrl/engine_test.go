@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"errors"
+	"net/http"
 	"testing"
 
 	"repro/internal/estimate"
@@ -185,60 +186,78 @@ func TestEngineEstimatorFeedback(t *testing.T) {
 	}
 }
 
-// TestEngineInterpretedFallbackMatchesCompiled drives the same request
-// sequence through a compiled engine and one forced onto the interpreted
-// fallback, and requires identical decisions — the fallback contract.
-func TestEngineInterpretedFallbackMatchesCompiled(t *testing.T) {
+// TestEngineRefusesAdmitsWhileUncompiled makes Recompile fail — the
+// dynamic policy is swapped onto a table built for another graph, which
+// State.Bind rejects — and checks the engine refuses to decide rather than
+// use stale thresholds: Admit returns ErrNotCompiled (HTTP 503) without
+// touching occupancy, the counters or the estimator, calls already in
+// flight still release, and the next successful Recompile restores
+// admissions.
+func TestEngineRefusesAdmitsWhileUncompiled(t *testing.T) {
 	g := netmodel.Quadrangle()
-	pol := quadranglePolicy(t, g, 85)
-	fast, err := NewEngine(g, nil, pol, nil)
+	ctl := quadranglePolicy(t, g, 85)
+	dyn := policy.NewDynamic(ctl.T, ctl.R)
+	est, err := estimate.New(g, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewEngine(g, nil, pol, nil)
+	e, err := NewEngine(g, nil, dyn, est)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow.compiled = false // force Route fallback
+	direct := g.LinkBetween(0, 1)
+	for id := int64(0); id < 3; id++ {
+		if dec, err := e.Admit(0.1*float64(id), id, 0, 1); err != nil || !dec.Admitted {
+			t.Fatalf("admit %d while compiled: %+v, %v", id, dec, err)
+		}
+	}
 
-	type req struct {
-		id           int64
-		origin, dest graph.NodeID
+	// The quadrangle plus a leaf node: a node and link count the live
+	// state's Bind refuses.
+	wider := netmodel.Quadrangle()
+	if _, _, err := wider.AddDuplex(0, wider.AddNodes(1), 10); err != nil {
+		t.Fatal(err)
 	}
-	var reqs []req
-	id := int64(0)
-	for round := 0; round < 40; round++ {
-		for o := 0; o < 4; o++ {
-			for d := 0; d < 4; d++ {
-				if o == d {
-					continue
-				}
-				reqs = append(reqs, req{id, graph.NodeID(o), graph.NodeID(d)})
-				id++
-			}
-		}
+	tbl, err := policy.BuildMinHop(wider, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range reqs {
-		now := float64(i) * 0.01
-		df, errF := fast.Admit(now, r.id, r.origin, r.dest)
-		ds, errS := slow.Admit(now, r.id, r.origin, r.dest)
-		if (errF == nil) != (errS == nil) {
-			t.Fatalf("req %d: error mismatch %v vs %v", i, errF, errS)
+	dyn.Swap(tbl, ctl.R)
+	if e.Recompile() {
+		t.Fatal("Recompile bound a table built for another graph")
+	}
+	occ, before := e.State().TotalOccupancy(), e.Metrics()
+	for id := int64(10); id < 15; id++ {
+		dec, err := e.Admit(0.5, id, 0, 1)
+		if !errors.Is(err, ErrNotCompiled) || dec.Admitted {
+			t.Fatalf("admit %d while uncompiled: %+v, %v (want ErrNotCompiled)", id, dec, err)
 		}
-		if df.Admitted != ds.Admitted || df.Alternate != ds.Alternate ||
-			len(df.Links) != len(ds.Links) || df.BlockedAt != ds.BlockedAt {
-			t.Fatalf("req %d: decisions diverge: %+v vs %+v", i, df, ds)
-		}
-		// Periodically release a third of the in-flight calls on both.
-		if i%9 == 8 {
-			rel := r.id - 6
-			errF, errS := fast.Release(rel), slow.Release(rel)
-			if (errF == nil) != (errS == nil) {
-				t.Fatalf("release %d: %v vs %v", rel, errF, errS)
-			}
+		if got := errStatus(err); got != http.StatusServiceUnavailable {
+			t.Errorf("errStatus(ErrNotCompiled) = %d, want 503", got)
 		}
 	}
-	if slow.Metrics().FallbackDecisions == 0 {
-		t.Error("interpreted engine never took the fallback path")
+	if got := e.State().TotalOccupancy(); got != occ {
+		t.Errorf("occupancy %d after refused admits, want %d", got, occ)
+	}
+	if m := e.Metrics(); m.Offered != before.Offered || m.Admitted != before.Admitted || m.Blocked != before.Blocked {
+		t.Errorf("refused admits moved the decision counters: %+v -> %+v", before, m)
+	}
+	if err := e.Release(0); err != nil {
+		t.Fatalf("release of an in-flight call while uncompiled: %v", err)
+	}
+	if got := e.State().Occupancy(direct); got != 2 {
+		t.Errorf("direct link occupancy %d after one release, want 2", got)
+	}
+	est.Advance(1.5) // folds window [0,1)
+	if got := est.Estimate(direct); got != 3 {
+		t.Errorf("estimated Λ̂ = %v, want 3: refused admits reached the estimator", got)
+	}
+
+	dyn.Swap(ctl.T, ctl.R)
+	if !e.Recompile() {
+		t.Fatal("Recompile failed after the original table was restored")
+	}
+	if dec, err := e.Admit(1.6, 10, 0, 1); err != nil || !dec.Admitted || dec.Alternate {
+		t.Fatalf("admit after a successful Recompile: %+v, %v", dec, err)
 	}
 }

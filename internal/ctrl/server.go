@@ -45,16 +45,16 @@ type Config struct {
 	// Sink receives the decision event stream (obs.Registry, JSONL,
 	// timeseries — typically an obs.Multi). Nil disables emission.
 	Sink obs.Sink
-	// BatchSize bounds how many queued requests one batch drains
-	// (default 256, mirroring the simulator's arrival micro-batch).
-	BatchSize int
-	// QueueDepth is the request channel's buffer (default 1024).
-	QueueDepth int
 }
 
+// queueDepth is the request channel's buffer: a burst from many concurrent
+// HTTP handlers is absorbed without each handler waiting on the loop, and
+// enqueueing blocks only once the loop falls this many requests behind.
+const queueDepth = 1024
+
 // Server serializes admission control onto a single decision loop: HTTP
-// handlers (and the bench swarm) enqueue requests, the loop drains them in
-// micro-batches, applies each against the engine in arrival order, and
+// handlers (and the bench swarm) enqueue requests, the loop takes them one
+// at a time, applies each against the engine in arrival order, and
 // fans the responses back out on per-request reply channels. One loop
 // means no locks around sim.State and decisions identical to a sequential
 // replay, whatever the client concurrency.
@@ -70,8 +70,7 @@ type Server struct {
 	refreshes    uint64
 	now          float64 // high-water decision timestamp
 
-	sink  obs.Sink
-	batch int
+	sink obs.Sink
 
 	reqs chan request
 	quit chan struct{}
@@ -134,14 +133,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 256
-	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 1024
-	}
 	refresh := cfg.RefreshEvery
 	if refresh <= 0 && cfg.Estimator != nil {
 		refresh = cfg.Estimator.Window
@@ -154,8 +145,7 @@ func NewServer(cfg Config) (*Server, error) {
 		refreshEvery: refresh,
 		nextRefresh:  refresh,
 		sink:         cfg.Sink,
-		batch:        batch,
-		reqs:         make(chan request, depth),
+		reqs:         make(chan request, queueDepth),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
@@ -185,11 +175,9 @@ func (s *Server) Shutdown() {
 	<-s.done
 }
 
-// serve is the decision loop: block for one request, drain up to a batch
-// more without blocking, decide all in arrival order.
+// serve is the decision loop: decide each request in arrival order.
 func (s *Server) serve() {
 	defer close(s.done)
-	buf := make([]request, 0, s.batch)
 	for {
 		select {
 		case <-s.quit:
@@ -203,19 +191,7 @@ func (s *Server) serve() {
 				}
 			}
 		case r := <-s.reqs:
-			buf = append(buf[:0], r)
-			for len(buf) < s.batch {
-				select {
-				case r2 := <-s.reqs:
-					buf = append(buf, r2)
-				default:
-					goto decide
-				}
-			}
-		decide:
-			for _, r := range buf {
-				s.handle(r)
-			}
+			s.handle(r)
 		}
 	}
 }

@@ -127,7 +127,7 @@ func TestServerHTTPWire(t *testing.T) {
 func TestServerConcurrentSwarmSerializes(t *testing.T) {
 	g := netmodel.Quadrangle()
 	pol := quadranglePolicy(t, g, 85)
-	srv, err := NewServer(Config{Graph: g, Policy: pol, BatchSize: 8, QueueDepth: 64})
+	srv, err := NewServer(Config{Graph: g, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // errStatus maps a decision error to its HTTP status.
 func errStatus(err error) int {
 	switch {
-	case errors.Is(err, ErrShutdown):
+	case errors.Is(err, ErrShutdown), errors.Is(err, ErrNotCompiled):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrDuplicateCall), errors.Is(err, ErrUnknownCall), errors.Is(err, ErrBadNode):
 		return http.StatusConflict

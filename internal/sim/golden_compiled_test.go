@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netmodel"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -153,9 +154,10 @@ func TestGoldenCompiledShortProtection(t *testing.T) {
 	}
 }
 
-// TestGoldenCompiledStream covers the stream-fed micro-batch refill: the
-// compiled engine consuming an arrival Source must match the interpreted
-// engine consuming an identical, independently constructed Source.
+// TestGoldenCompiledStream covers stream-fed arrivals pulled one call at
+// a time with Source.Next: the compiled engine consuming an arrival Source
+// must match the interpreted engine consuming an identical, independently
+// constructed Source.
 func TestGoldenCompiledStream(t *testing.T) {
 	for _, sc := range goldenScenarios(t) {
 		pol := compiledGoldenPolicies(t, sc)["controlled"]
@@ -253,6 +255,88 @@ func TestGoldenCompiledAdaptive(t *testing.T) {
 		}
 
 		interpPol, interpHook := newAdaptive()
+		interpSink := &recordSink{}
+		interpCfg := base
+		interpCfg.Policy = uncompilable{interpPol}
+		interpCfg.TopologyHook = interpHook
+		interpCfg.Sink = interpSink
+		want, err := sim.Run(interpCfg)
+		if err != nil {
+			t.Fatalf("%s: interpreted: %v", label, err)
+		}
+
+		requireSameResult(t, label, got, want)
+		requireSameEvents(t, label, compSink.events, interpSink.events)
+		if g, w := jsonlBytes(t, compSink.events), jsonlBytes(t, interpSink.events); !bytes.Equal(g, w) {
+			t.Fatalf("%s: JSONL bytes diverge between engines", label)
+		}
+	}
+}
+
+// TestGoldenCompiledRecompileFails covers a mid-run recompile that fails:
+// the dynamic policy compiles at run start, but the TopologyHook swaps it
+// onto a table built for another graph (ring6 plus a leaf node, which
+// State.Bind rejects) at the first plan epoch and back at the third. The
+// run must fall onto Policy.Route and return to the kernel with a Result
+// and JSONL stream identical to the same run through the uncompilable
+// wrapper.
+func TestGoldenCompiledRecompileFails(t *testing.T) {
+	sc := goldenScenarios(t)[1] // ring6
+	wider := netmodel.Ring(6, 30)
+	if _, _, err := wider.AddDuplex(0, wider.AddNodes(1), 30); err != nil {
+		t.Fatal(err)
+	}
+	// Loop-free paths between ring nodes never cross the leaf, so the
+	// foreign table's rows name only ring6 links and Route stays valid.
+	foreign, err := policy.BuildMinHop(wider, sc.h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{3, 4} {
+		label := fmt.Sprintf("recompile-fails/seed=%d", seed)
+		base := failureGoldenConfig(t, sim.FailoverReroute, seed)
+
+		var failedEpochs int
+		newSwapping := func() (*policy.Dynamic, func(float64, *sim.State)) {
+			scheme, err := core.New(sc.g, sc.m, core.Options{H: sc.h})
+			if err != nil {
+				t.Fatalf("%s: scheme: %v", label, err)
+			}
+			dyn := policy.NewDynamic(scheme.Table, scheme.Protection)
+			epoch := 0
+			hook := func(float64, *sim.State) {
+				epoch++
+				switch epoch {
+				case 1:
+					dyn.Swap(foreign, scheme.Protection)
+				case 3:
+					dyn.Swap(scheme.Table, scheme.Protection)
+				}
+				if !sim.CompilesFor(dyn, sc.g) {
+					failedEpochs++
+				}
+			}
+			return dyn, hook
+		}
+
+		compPol, compHook := newSwapping()
+		if !sim.CompilesFor(compPol, sc.g) {
+			t.Fatalf("%s: dynamic policy does not compile at run start", label)
+		}
+		compSink := &recordSink{}
+		compCfg := base
+		compCfg.Policy = compPol
+		compCfg.TopologyHook = compHook
+		compCfg.Sink = compSink
+		got, err := sim.Run(compCfg)
+		if err != nil {
+			t.Fatalf("%s: compiled: %v", label, err)
+		}
+		if failedEpochs != 2 {
+			t.Fatalf("%s: recompile failed at %d plan epochs, want 2 (plan too short?)", label, failedEpochs)
+		}
+
+		interpPol, interpHook := newSwapping()
 		interpSink := &recordSink{}
 		interpCfg := base
 		interpCfg.Policy = uncompilable{interpPol}

@@ -371,12 +371,12 @@ func (h *departureHeap) extract(hit func(paths.Path) bool) []torndown {
 	return out
 }
 
-// loop is one run's event-loop state, shared by the interpreted engine
-// (Policy.Route per call) and the compiled fast path (see compiled.go).
-// Both drive the same bookkeeping methods in the same order, so the two
-// engines are bit-identical by construction everywhere except the routing
-// decision itself — which the compiled path reproduces exactly for the
-// policies it accepts.
+// loop is one run's event-loop state. Its one arrival loop (run) admits
+// each call either through the compiled kernel (admitOne, see compiled.go)
+// or through Policy.Route (admitRoute); both drive the same bookkeeping
+// methods in the same order, so the two admission paths are bit-identical
+// by construction everywhere except the routing decision itself — which
+// the compiled path reproduces exactly for the policies it accepts.
 type loop struct {
 	cfg     Config
 	st      *State
@@ -625,16 +625,8 @@ func (l *loop) departed(at float64, path paths.Path) {
 // of plan events at the same epoch: a call ending exactly when its link
 // fails completes normally.
 func (l *loop) drainTo(epoch float64) {
-	if l.pi < len(l.plan) {
+	if l.pi < len(l.plan) || l.instrumented {
 		l.drainPlanTo(epoch)
-		return
-	}
-	if l.instrumented {
-		// No plan events remain: the drain is a pure departure loop.
-		for len(l.deps.ents) > 0 && l.deps.ents[0].at <= epoch {
-			at, path := l.deps.pop()
-			l.departed(at, path)
-		}
 		return
 	}
 	l.drainFast(epoch)
@@ -699,8 +691,8 @@ func (l *loop) drainFast(epoch float64) {
 	}
 }
 
-// drainPlanTo is drainTo's general form while failure/repair events are
-// still pending, preserving the departures-first tie rule.
+// drainPlanTo is drainTo's general form — pending failure/repair events
+// (departures-first tie rule) or an instrumented run's departure events.
 func (l *loop) drainPlanTo(epoch float64) {
 	for {
 		hasDep := l.deps.len() > 0 && l.deps.ents[0].at <= epoch
@@ -742,19 +734,10 @@ func (l *loop) offered(c Call, pairIdx int) (measured bool, win *WindowStats) {
 	return measured, win
 }
 
-// admitted records one admission: the teardown is scheduled and the
-// carried-side counters and events updated. The caller has already booked
-// the path's links.
-func (l *loop) admitted(c Call, p paths.Path, alternate, measured bool) {
-	l.deps.push(c.Arrival+c.Holding, p, depMeta{
-		id: int64(c.ID), origin: int32(c.Origin), dest: int32(c.Dest),
-	})
-	l.admitTally(c, p, alternate, measured)
-}
-
-// admittedRow is admitted for a compiled route-table row (see
-// departureHeap.pushRow): the path is base[off:off+hops] and the booking
-// avoids pool traffic on plan-less runs.
+// admittedRow records one admission of a compiled route-table row: the
+// teardown of base[off:off+hops] is scheduled (see departureHeap.pushRow,
+// no pool traffic on plan-less runs) and the carried-side counters and
+// events updated. The caller has already booked the row's links.
 func (l *loop) admittedRow(c Call, off, hops int32, alternate, measured bool) {
 	l.deps.pushRow(c.Arrival+c.Holding, off, hops, depMeta{
 		id: int64(c.ID), origin: int32(c.Origin), dest: int32(c.Dest),
@@ -810,34 +793,88 @@ func (l *loop) blocked(c Call, pairIdx int, measured bool, win *WindowStats, blo
 	}
 }
 
-// runInterpreted is the general engine: one Policy.Route interface call
-// per arrival.
-func (l *loop) runInterpreted(src ArrivalSource) {
-	for {
-		c, more := src.Next()
-		if !more || c.Arrival >= l.horizon {
-			return
-		}
-		l.drainTo(c.Arrival)
-		pairIdx := int(c.Origin)*l.numNodes + int(c.Dest)
-		measured, win := l.offered(c, pairIdx)
-		if p, alternate, ok := l.cfg.Policy.Route(l.st, c); ok {
-			l.flushPath(p, c.Arrival)
-			l.st.Occupy(p)
-			l.admitted(c, p, alternate, measured)
-			continue
-		}
-		blockAt := graph.InvalidLink
-		if measured {
-			// Attribute the loss to the first blocking link of the primary
-			// path (paper's convention).
-			primary := l.cfg.Policy.PrimaryPath(l.st, c)
-			if admitted, blockLink := l.st.PathAdmitsPrimary(primary); !admitted && blockLink != graph.InvalidLink {
-				blockAt = blockLink
+// run is the event loop: arrivals one at a time — read in place from a
+// trace or pulled with Source.Next — each admitted through admitOne while
+// compiled, else admitRoute, after draining departures and plan events up
+// to its epoch (guarded by the nextDep/nextPlan scalars). Every plan group
+// triggers a recompile (a TopologyHook may have swapped tables): a failure
+// moves the run onto Policy.Route, a later success moves it back.
+//
+//altlint:hotpath
+func (l *loop) run(th *routetable.Thresholds, compiled bool) {
+	if compiled {
+		l.deps.base = th.Table().Links
+	}
+	nextDep, nextPlan := l.nextEpochs()
+	replay := l.cfg.Trace != nil
+	var calls []Call
+	if replay {
+		calls = l.cfg.Trace.Calls
+	}
+	for i := 0; ; i++ {
+		var c Call
+		if replay {
+			if i >= len(calls) {
+				return
+			}
+			c = calls[i]
+		} else {
+			var more bool
+			if c, more = l.cfg.Source.Next(); !more {
+				return
 			}
 		}
-		l.blocked(c, pairIdx, measured, win, blockAt)
+		if c.Arrival >= l.horizon {
+			return
+		}
+		if nextDep <= c.Arrival || nextPlan <= c.Arrival {
+			piBefore := l.pi
+			l.drainTo(c.Arrival)
+			if l.pi != piBefore {
+				if compiled = compileFor(l.cfg.Policy, l.st, th); compiled {
+					l.deps.base = th.Table().Links
+				}
+			}
+			nextDep, nextPlan = l.nextEpochs()
+		}
+		pairIdx := int(c.Origin)*l.numNodes + int(c.Dest)
+		measured, win := l.offered(c, pairIdx)
+		var carried bool
+		if compiled {
+			carried = l.admitOne(th, c, pairIdx, measured, win)
+		} else {
+			carried = l.admitRoute(c, pairIdx, measured, win)
+		}
+		if dep := c.Arrival + c.Holding; carried && dep < nextDep {
+			nextDep = dep
+		}
 	}
+}
+
+// admitRoute is admitOne through the policy's Route method: the admission
+// path for policies that do not compile, and for a compiled policy whose
+// mid-run recompile failed. It reports whether the call was carried.
+func (l *loop) admitRoute(c Call, pairIdx int, measured bool, win *WindowStats) bool {
+	if p, alternate, ok := l.cfg.Policy.Route(l.st, c); ok {
+		l.flushPath(p, c.Arrival)
+		l.st.Occupy(p)
+		l.deps.push(c.Arrival+c.Holding, p, depMeta{
+			id: int64(c.ID), origin: int32(c.Origin), dest: int32(c.Dest),
+		})
+		l.admitTally(c, p, alternate, measured)
+		return true
+	}
+	blockAt := graph.InvalidLink
+	if measured {
+		// Attribute the loss to the first blocking link of the primary
+		// path (paper's convention).
+		primary := l.cfg.Policy.PrimaryPath(l.st, c)
+		if admitted, blockLink := l.st.PathAdmitsPrimary(primary); !admitted && blockLink != graph.InvalidLink {
+			blockAt = blockLink
+		}
+	}
+	l.blocked(c, pairIdx, measured, win, blockAt)
+	return false
 }
 
 // finish drains the remaining departures and plan events inside the
@@ -894,10 +931,10 @@ func (l *loop) finish() {
 // paper's simulator. Run is deterministic.
 //
 // Policies whose routing is fully table-driven (see TableCompiler in
-// compiled.go) are executed on a compiled fast path — flattened route
+// compiled.go) are admitted on a compiled fast path — flattened route
 // rows scanned against precomputed occupancy thresholds — that is
-// bit-identical to the interpreted engine; everything else falls back to
-// Policy.Route transparently.
+// bit-identical to calling Policy.Route; everything else is admitted
+// through Policy.Route transparently.
 //
 //altlint:hotpath
 func Run(cfg Config) (*Result, error) {
@@ -963,13 +1000,7 @@ func Run(cfg Config) (*Result, error) {
 
 	obs.Emit(l.sink, obs.Event{Kind: obs.KindRunStart, Policy: res.Policy, Seed: seed})
 	var th routetable.Thresholds
-	if compileFor(cfg.Policy, st, &th) {
-		l.runCompiled(&th)
-	} else if cfg.Trace != nil {
-		l.runInterpreted(&traceCursor{t: cfg.Trace})
-	} else {
-		l.runInterpreted(cfg.Source)
-	}
+	l.run(&th, compileFor(cfg.Policy, st, &th))
 	l.finish()
 	return res, nil
 }

@@ -24,27 +24,6 @@ type ArrivalSource interface {
 	Seed() int64
 }
 
-// traceCursor adapts a materialized Trace to ArrivalSource.
-type traceCursor struct {
-	t *Trace
-	i int
-}
-
-func (c *traceCursor) Next() (Call, bool) {
-	if c.i >= len(c.t.Calls) {
-		return Call{}, false
-	}
-	call := c.t.Calls[c.i]
-	c.i++
-	return call, true
-}
-
-func (c *traceCursor) Horizon() float64 { return c.t.Horizon }
-func (c *traceCursor) Seed() int64      { return c.t.Seed }
-
-// Source returns the trace as an ArrivalSource (a fresh cursor per call).
-func (t *Trace) Source() ArrivalSource { return &traceCursor{t: t} }
-
 // pairStream is one O-D pair's pending Poisson arrival.
 type pairStream struct {
 	// next is the pair's next arrival epoch (always < horizon while the
@@ -171,16 +150,6 @@ func (s *Stream) Horizon() float64 { return s.horizon }
 
 // Seed implements ArrivalSource.
 func (s *Stream) Seed() int64 { return s.seed }
-
-// Peek returns the epoch and pair of the next call Next would emit,
-// without consuming it.
-func (s *Stream) Peek() (at float64, origin, dest graph.NodeID, ok bool) {
-	if len(s.heap) == 0 {
-		return 0, 0, 0, false
-	}
-	p := &s.pairs[s.heap[0]]
-	return p.next, p.origin, p.dest, true
-}
 
 // Materialize drains the stream into a Trace. Draining a fresh stream
 // reproduces the corresponding GenerateTrace/GenerateTraceHolding output
