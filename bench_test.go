@@ -256,7 +256,7 @@ func BenchmarkPolicyNSFNet(b *testing.B) {
 	}
 }
 
-// --- Simulation-core throughput guards (see BENCH_sim.json) ---
+// --- Simulation-core throughput guards (BENCH.json: BenchmarkRunCalls records) ---
 
 // BenchmarkRunCalls measures end-to-end simulation throughput in calls/sec:
 // arrival generation plus the full event loop, NSFNet at nominal load under
@@ -388,7 +388,7 @@ func BenchmarkEq15Search(b *testing.B) {
 	})
 }
 
-// --- Observability overhead guard (see BENCH_obs.json) ---
+// --- Observability overhead guard (BENCH.json: BenchmarkRun{Bare,Instrumented,Timeseries}) ---
 
 // noopSink is the cheapest possible attached sink; the pair of benchmarks
 // below isolates the cost of the emission sites themselves (event
@@ -428,7 +428,7 @@ func BenchmarkRunInstrumented(b *testing.B) { benchObsRun(b, noopSink{}) }
 // (window width 5, ring of 64 windows, regime detector on), the heaviest
 // first-party consumer: every event folds lock-free into windowed counters,
 // with a mutex taken only at window and run boundaries. Its marginal cost
-// over the no-op sink is the <2% budget BENCH_obs.json records.
+// is its ns/op record in BENCH.json against BenchmarkRunInstrumented's.
 func BenchmarkRunTimeseries(b *testing.B) {
 	series, err := altroute.NewTimeSeries(altroute.TimeSeriesOptions{
 		Width:    5,
@@ -647,14 +647,14 @@ func BenchmarkDalfarConvergence(b *testing.B) {
 	}
 }
 
-// --- Parallel experiment-engine guard (see BENCH_par.json) ---
+// --- Parallel experiment-engine guard (BENCH.json: BenchmarkBlockingSweep records) ---
 
 // BenchmarkBlockingSweep measures a whole blocking sweep — per-point scheme
 // derivation, seed replications, and Erlang bounds — sequentially
 // (Parallelism=1) and on the parallel engine (Parallelism=0, one worker per
 // GOMAXPROCS slot). The two produce bit-identical sweeps by contract (the
 // golden parallel-equivalence suite proves it); their wall-clock ratio is
-// the speedup recorded in BENCH_par.json.
+// the speedup, read from the two ns/op records in BENCH.json.
 func BenchmarkBlockingSweep(b *testing.B) {
 	sweeps := []struct {
 		name string

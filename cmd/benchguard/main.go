@@ -1,131 +1,151 @@
 // benchguard is the CI throughput tripwire: it reads `go test -bench`
-// output on stdin, extracts the guarded metrics (calls/sec figures from
-// the simulation-core benchmarks), and compares the best observed number
-// per metric against the recorded baseline JSON. It exits nonzero when
-// any guarded metric regresses past its floor.
+// output on stdin and checks it against the performance ledger, BENCH.json.
 //
-// Metrics are selected from a fixed allowlist with the repeatable
-// -metric flag, each optionally carrying its own regression budget:
+//	go test -run '^$' -bench BenchmarkRunCalls -benchmem . | benchguard -ledger BENCH.json
 //
-//	benchguard -baseline BENCH_sim.json -metric stream -metric replay=0.25
-//
-// selects the stream metric at the global -max-regress and the replay
-// metric at a tighter 25%. Without -metric flags the guard checks the
-// classic pair (stream, replay) for backward compatibility.
+// Every `Benchmark…` line is parsed into (name, unit, value) observations.
+// Every ledger record that carries a max_regress budget is then guarded:
+// the best observation of its benchmark and metric — the highest when the
+// record's better is "higher", the lowest when "lower" — must stay within
+// max_regress of the best recorded sample. A budgeted record with no
+// observation in the input fails the guard, so it cannot pass vacuously;
+// records without a budget are history and are not checked.
 //
 // The input is echoed to stdout unchanged so CI logs keep the full
-// benchmark output. Best-of-count comparison plus generous thresholds
-// make the guard robust to the noise of short -benchtime runs; it is a
-// tripwire for large regressions, not a precision benchmark — update the
-// recorded baseline from a full `make bench` when the engine changes.
+// benchmark output, and one verdict per budgeted record goes to stderr.
+// Exit status: 0 pass, 1 a guarded record regressed or is missing, 2 the
+// ledger or the input is unusable. Best-of-count comparison plus generous
+// budgets make the guard robust to the noise of short -benchtime runs; it
+// is a tripwire for large regressions, not a precision benchmark —
+// re-record the ledger from a full `make bench` when the engine changes.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// metricDef places one guardable metric: which benchmark and
-// sub-benchmark report it, the go-bench custom unit carrying the value,
-// and the key holding its recorded numbers under "optimized" in the
-// baseline file. All current metrics are throughputs (higher is better).
-type metricDef struct {
-	bench   string
-	variant string
-	unit    string
-	key     string
+// ledger is BENCH.json: the command and host that recorded it and one
+// record per (benchmark, metric).
+type ledger struct {
+	Command string   `json:"command"`
+	Host    host     `json:"host"`
+	Records []record `json:"records"`
 }
 
-// metricDefs is the allowlist of guardable metrics: stream/replay, the
-// classic end-to-end throughput pair (BENCH_sim.json).
-var metricDefs = map[string]metricDef{
-	"stream": {bench: "BenchmarkRunCalls", variant: "stream", unit: "calls/sec", key: "run_calls_stream_calls_per_sec"},
-	"replay": {bench: "BenchmarkRunCalls", variant: "replay", unit: "calls/sec", key: "run_calls_replay_calls_per_sec"},
+// host describes where and from what source every record was taken.
+type host struct {
+	CPU        string `json:"cpu"`
+	Nproc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+	Commit     string `json:"commit"`
+	Date       string `json:"date"`
 }
 
-func metricNames() []string {
-	names := make([]string, 0, len(metricDefs))
-	for n := range metricDefs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+// record is one recorded metric of one benchmark. Benchmark is the full
+// go-bench name with its sub-benchmarks and without the -<GOMAXPROCS>
+// suffix; Metric is the go-bench unit.
+type record struct {
+	Benchmark  string    `json:"benchmark"`
+	Package    string    `json:"package"`
+	Layer      string    `json:"layer"`
+	Metric     string    `json:"metric"`
+	Better     string    `json:"better"`
+	Samples    []float64 `json:"samples"`
+	MaxRegress *float64  `json:"max_regress,omitempty"`
 }
 
-// selection is one guarded metric: its allowlist name plus the
-// regression budget it is held to (the per-metric floor).
-type selection struct {
-	name    string
-	regress float64
-}
+// key names a (benchmark, unit) pair in both the ledger and the input.
+type key struct{ bench, unit string }
 
-// metricFlags parses repeated -metric values of the form "name" or
-// "name=maxRegress". A negative regress means "use the global
-// -max-regress"; resolve() pins it once flags are parsed.
-type metricFlags struct {
-	sels []selection
-}
+func (r record) key() key { return key{r.Benchmark, r.Metric} }
 
-func (m *metricFlags) String() string {
-	parts := make([]string, len(m.sels))
-	for i, s := range m.sels {
-		parts[i] = s.name
-	}
-	return strings.Join(parts, ",")
-}
+// higher reports whether larger values of the record's metric are better.
+func (r record) higher() bool { return r.Better == "higher" }
 
-func (m *metricFlags) Set(v string) error {
-	name, frac, hasFrac := strings.Cut(v, "=")
-	if _, ok := metricDefs[name]; !ok {
-		return fmt.Errorf("unknown metric %q (allowed: %s)", name, strings.Join(metricNames(), ", "))
-	}
-	for _, s := range m.sels {
-		if s.name == name {
-			return fmt.Errorf("metric %q selected twice", name)
+// best returns the best of vals in the record's direction.
+func (r record) best(vals []float64) float64 {
+	b := vals[0]
+	for _, v := range vals[1:] {
+		if (r.higher() && v > b) || (!r.higher() && v < b) {
+			b = v
 		}
 	}
-	sel := selection{name: name, regress: -1}
-	if hasFrac {
-		f, err := strconv.ParseFloat(frac, 64)
-		if err != nil || f < 0 || f >= 1 {
-			return fmt.Errorf("metric %q: max-regress %q must be a fraction in [0, 1)", name, frac)
-		}
-		sel.regress = f
-	}
-	m.sels = append(m.sels, sel)
-	return nil
+	return b
 }
 
-// resolve fills defaults: no -metric flags selects the classic pair, and
-// metrics without their own budget inherit the global one.
-func (m *metricFlags) resolve(maxRegress float64) []selection {
-	sels := m.sels
-	if len(sels) == 0 {
-		sels = []selection{{name: "replay", regress: -1}, {name: "stream", regress: -1}}
+// readLedger decodes and validates a ledger: every record names its
+// benchmark and metric once, says which direction is better, and has
+// finite non-negative samples; a budget is a fraction in [0, 1). Unknown
+// fields are refused, so a misspelt max_regress cannot drop a guard.
+func readLedger(data []byte) (*ledger, error) {
+	var l ledger
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&l); err != nil {
+		return nil, err
 	}
-	out := make([]selection, len(sels))
-	for i, s := range sels {
-		if s.regress < 0 {
-			s.regress = maxRegress
+	if len(l.Records) == 0 {
+		return nil, fmt.Errorf("no records")
+	}
+	seen := make(map[key]bool, len(l.Records))
+	for i, r := range l.Records {
+		if r.Benchmark == "" || r.Metric == "" {
+			return nil, fmt.Errorf("record %d: benchmark and metric are required", i)
 		}
-		out[i] = s
+		if seen[r.key()] {
+			return nil, fmt.Errorf("record %d: %s %s recorded twice", i, r.Benchmark, r.Metric)
+		}
+		seen[r.key()] = true
+		if r.Better != "higher" && r.Better != "lower" {
+			return nil, fmt.Errorf("%s %s: better is %q, want higher or lower", r.Benchmark, r.Metric, r.Better)
+		}
+		if len(r.Samples) == 0 {
+			return nil, fmt.Errorf("%s %s: no samples", r.Benchmark, r.Metric)
+		}
+		for _, v := range r.Samples {
+			if !(v >= 0) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("%s %s: sample %v is not a finite non-negative number", r.Benchmark, r.Metric, v)
+			}
+		}
+		if f := r.MaxRegress; f != nil && !(*f >= 0 && *f < 1) {
+			return nil, fmt.Errorf("%s %s: max_regress %v must be a fraction in [0, 1)", r.Benchmark, r.Metric, *f)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	return &l, nil
 }
 
-// parseBench scans benchmark output for the selected metrics, echoing
-// every line to echo, and returns the best observed value per metric
-// name.
-func parseBench(r io.Reader, echo io.Writer, sels []selection) (map[string]float64, error) {
-	best := make(map[string]float64)
+// benchName strips the -<GOMAXPROCS> suffix go test appends to a
+// benchmark name when GOMAXPROCS > 1. Only a trailing dash followed by
+// digits is a suffix: "BenchmarkNewStream/nsfnet-drain" is a whole name.
+func benchName(field string) string {
+	i := strings.LastIndexByte(field, '-')
+	if i < 0 || i == len(field)-1 {
+		return field
+	}
+	for _, c := range field[i+1:] {
+		if c < '0' || c > '9' {
+			return field
+		}
+	}
+	return field[:i]
+}
+
+// parseBench scans benchmark output, echoing every line to echo, and
+// returns every (value) observed per (benchmark, unit). A result line is
+// "<name> <iterations> <value> <unit> [<value> <unit>]…"; other lines,
+// including ones that merely start with "Benchmark", are skipped.
+func parseBench(r io.Reader, echo io.Writer) (map[key][]float64, error) {
+	obs := make(map[key][]float64)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -133,147 +153,96 @@ func parseBench(r io.Reader, echo io.Writer, sels []selection) (map[string]float
 		if echo != nil {
 			fmt.Fprintln(echo, line)
 		}
-		for _, s := range sels {
-			def := metricDefs[s.name]
-			rest, ok := strings.CutPrefix(line, def.bench+"/")
-			if !ok {
-				continue
-			}
-			fields := strings.Fields(rest)
-			if len(fields) == 0 {
-				continue
-			}
-			// The name field is "<variant>" on a single-CPU host and
-			// "<variant>-<GOMAXPROCS>" otherwise; no allowed variant ends in
-			// a dash-suffixed token, so trimming at the last dash is safe.
-			variant := fields[0]
-			if i := strings.LastIndex(variant, "-"); i >= 0 {
-				variant = variant[:i]
-			}
-			if variant != def.variant {
-				continue
-			}
-			for i := 1; i < len(fields); i++ {
-				if fields[i] != def.unit {
-					continue
-				}
-				v, err := strconv.ParseFloat(fields[i-1], 64)
-				if err != nil {
-					return nil, fmt.Errorf("unparsable %s in %q: %v", def.unit, line, err)
-				}
-				if v > best[s.name] {
-					best[s.name] = v
-				}
+		fields := strings.Fields(line)
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		if _, err := strconv.Atoi(fields[1]); err != nil {
+			continue
+		}
+		name := benchName(fields[0])
+		for i := 2; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
 				break
 			}
+			k := key{name, fields[i+1]}
+			obs[k] = append(obs[k], v)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return best, nil
+	return obs, sc.Err()
 }
 
-// baselineBest extracts the best recorded value per selected metric from
-// the baseline file's "optimized" block, accepting both a single number
-// and a best-of-count array per key.
-func baselineBest(data []byte, sels []selection) (map[string]float64, error) {
-	var file struct {
-		Optimized map[string]json.RawMessage `json:"optimized"`
-	}
-	if err := json.Unmarshal(data, &file); err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64)
-	for _, s := range sels {
-		key := metricDefs[s.name].key
-		raw, ok := file.Optimized[key]
-		if !ok {
-			return nil, fmt.Errorf("baseline is missing optimized.%s", key)
-		}
-		var vals []float64
-		if err := json.Unmarshal(raw, &vals); err != nil {
-			var v float64
-			if err := json.Unmarshal(raw, &v); err != nil {
-				return nil, fmt.Errorf("optimized.%s is neither a number nor an array", key)
-			}
-			vals = []float64{v}
-		}
-		b := 0.0
-		for _, v := range vals {
-			if v > b {
-				b = v
-			}
-		}
-		if b <= 0 {
-			return nil, fmt.Errorf("optimized.%s has no positive value", key)
-		}
-		out[s.name] = b
-	}
-	return out, nil
-}
-
-// check compares observed against baseline under each metric's own
-// regression budget and returns one human-readable verdict line per
-// metric plus the overall pass/fail. Missing metrics fail: a guard that
-// matched no benchmark output must not pass vacuously.
-func check(observed, baseline map[string]float64, sels []selection) ([]string, bool) {
+// check holds every budgeted record's best observation to its budget and
+// returns one verdict line per budgeted record plus the overall pass/fail.
+func check(l *ledger, obs map[key][]float64) ([]string, bool) {
 	var lines []string
 	ok := true
-	for _, s := range sels {
-		def := metricDefs[s.name]
-		base := baseline[s.name]
-		got, seen := observed[s.name]
+	for _, r := range l.Records {
+		if r.MaxRegress == nil {
+			continue
+		}
+		name := r.Benchmark + " " + r.Metric
+		vals, seen := obs[r.key()]
 		if !seen {
-			lines = append(lines, fmt.Sprintf("benchguard: %s: no %s/%s result in input", s.name, def.bench, def.variant))
+			lines = append(lines, fmt.Sprintf("benchguard: %s: FAIL (no result in input)", name))
 			ok = false
 			continue
 		}
-		floor := base * (1 - s.regress)
-		delta := got/base - 1
+		base, got := r.best(r.Samples), r.best(vals)
 		verdict := "ok"
-		if got < floor {
-			verdict = fmt.Sprintf("FAIL (below the %.0f%% floor %.0f)", 100*(1-s.regress), floor)
+		if r.higher() {
+			if floor := base * (1 - *r.MaxRegress); got < floor {
+				verdict = fmt.Sprintf("FAIL (below the %.0f%% floor %.4g)", 100*(1-*r.MaxRegress), floor)
+				ok = false
+			}
+		} else if ceiling := base * (1 + *r.MaxRegress); got > ceiling {
+			verdict = fmt.Sprintf("FAIL (above the %.0f%% ceiling %.4g)", 100*(1+*r.MaxRegress), ceiling)
 			ok = false
 		}
-		lines = append(lines, fmt.Sprintf("benchguard: %s: %.0f %s vs baseline %.0f (%+.1f%%): %s",
-			s.name, got, def.unit, base, 100*delta, verdict))
+		delta := "n/a"
+		if base != 0 {
+			delta = fmt.Sprintf("%+.1f%%", 100*(got/base-1))
+		}
+		lines = append(lines, fmt.Sprintf("benchguard: %s: %.4g vs recorded best %.4g (%s): %s", name, got, base, delta, verdict))
 	}
 	return lines, ok
 }
 
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_sim.json", "recorded benchmark baseline to compare against")
-	maxRegress := flag.Float64("max-regress", 0.30, "default maximum tolerated regression as a fraction")
-	var metrics metricFlags
-	flag.Var(&metrics, "metric", "metric to guard, `name[=maxRegress]` (repeatable; allowed: "+
-		strings.Join(metricNames(), ", ")+"; default: replay, stream)")
-	flag.Parse()
-	if *maxRegress < 0 || *maxRegress >= 1 {
-		fmt.Fprintln(os.Stderr, "benchguard: -max-regress must be in [0, 1)")
-		os.Exit(2)
+// run is main with its process surroundings passed in; it returns the
+// exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ledgerPath := fs.String("ledger", "BENCH.json", "performance ledger to check against")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	sels := metrics.resolve(*maxRegress)
-	data, err := os.ReadFile(*baselinePath)
+	data, err := os.ReadFile(*ledgerPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchguard:", err)
+		return 2
 	}
-	baseline, err := baselineBest(data, sels)
+	l, err := readLedger(data)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %s: %v\n", *baselinePath, err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchguard: %s: %v\n", *ledgerPath, err)
+		return 2
 	}
-	observed, err := parseBench(os.Stdin, os.Stdout, sels)
+	obs, err := parseBench(stdin, stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchguard:", err)
+		return 2
 	}
-	lines, ok := check(observed, baseline, sels)
-	for _, l := range lines {
-		fmt.Fprintln(os.Stderr, l)
+	lines, ok := check(l, obs)
+	for _, line := range lines {
+		fmt.Fprintln(stderr, line)
 	}
 	if !ok {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,181 +14,249 @@ goarch: amd64
 pkg: repro
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkRunCalls/stream-8         	       2	 510000000 ns/op	   2000000 calls/sec	   0.950 carried/unit	  903219 B/op	     351 allocs/op
-BenchmarkRunCalls/stream-8         	       2	 500000000 ns/op	   2100000 calls/sec	   0.950 carried/unit	  903219 B/op	     351 allocs/op
+BenchmarkRunCalls/stream-8         	       2	 500000000 ns/op	   2100000 calls/sec	   0.950 carried/unit	  903219 B/op	     349 allocs/op
 BenchmarkRunCalls/replay-8         	       4	 260000000 ns/op	   3300000 calls/sec	   0.950 carried/unit	  168936 B/op	      71 allocs/op
 BenchmarkRunCalls/replay         	       4	 250000000 ns/op	   3400000 calls/sec	   0.950 carried/unit	  168936 B/op	      71 allocs/op
-BenchmarkEq15Search/quadrangle@90E/cold-8  	     100	  11000000 ns/op	     312 allocs/op
+BenchmarkNewStream/nsfnet-drain    	      60	  18992340 ns/op	  677352 B/op	     915 allocs/op
+BenchmarkErlangBound/nsfnet-12loads-2    	     100	  10202642 ns/op
+--- FAIL: BenchmarkBroken
+BenchmarkBroken
 PASS
 `
 
-const sampleBaseline = `{
-  "optimized": {
-    "run_calls_stream_calls_per_sec": [2096423, 2105578, 1957352],
-    "run_calls_replay_calls_per_sec": [3394775, 3340919, 3382691]
-  }
-}`
-
-// classicPair mirrors resolve()'s default selection at a 30% budget.
-func classicPair() []selection {
-	var m metricFlags
-	return m.resolve(0.30)
-}
-
-func TestMetricFlagParsing(t *testing.T) {
-	var m metricFlags
-	for _, v := range []string{"stream", "replay=0.10"} {
-		if err := m.Set(v); err != nil {
-			t.Fatalf("Set(%q): %v", v, err)
+func TestBenchNameSuffix(t *testing.T) {
+	for in, want := range map[string]string{
+		"BenchmarkRunCalls/replay-2":          "BenchmarkRunCalls/replay",
+		"BenchmarkRunCalls/replay":            "BenchmarkRunCalls/replay",
+		"BenchmarkDecide-16":                  "BenchmarkDecide",
+		"BenchmarkNewStream/nsfnet-drain":     "BenchmarkNewStream/nsfnet-drain",
+		"BenchmarkNewStream/nsfnet-drain-2":   "BenchmarkNewStream/nsfnet-drain",
+		"BenchmarkErlangBound/nsfnet-12loads": "BenchmarkErlangBound/nsfnet-12loads",
+		"BenchmarkBuildMinHop/metro200-H2-8":  "BenchmarkBuildMinHop/metro200-H2",
+		"BenchmarkTrailingDash-":              "BenchmarkTrailingDash-",
+	} {
+		if got := benchName(in); got != want {
+			t.Errorf("benchName(%q) = %q, want %q", in, got, want)
 		}
-	}
-	sels := m.resolve(0.30)
-	want := map[string]float64{"replay": 0.10, "stream": 0.30}
-	if len(sels) != len(want) {
-		t.Fatalf("resolve: %v", sels)
-	}
-	for i, s := range sels {
-		if want[s.name] != s.regress {
-			t.Errorf("sel[%d] = %+v, want regress %v", i, s, want[s.name])
-		}
-	}
-	// Unknown names and repeats are refused...
-	for _, bad := range []string{"nosuch", "stream", "replay=0.20"} {
-		if err := m.Set(bad); err == nil {
-			t.Errorf("Set(%q) accepted", bad)
-		}
-	}
-	// ...and so are budgets outside [0, 1) or unparsable, on a fresh set
-	// where the name alone would be accepted.
-	for _, bad := range []string{"stream=1.5", "stream=-0.1", "replay=x"} {
-		var fresh metricFlags
-		if err := fresh.Set(bad); err == nil {
-			t.Errorf("Set(%q) accepted", bad)
-		}
-	}
-	// Defaults: the classic pair under the global budget.
-	def := classicPair()
-	if len(def) != 2 || def[0].name != "replay" || def[1].name != "stream" ||
-		def[0].regress != 0.30 || def[1].regress != 0.30 {
-		t.Fatalf("default selection = %+v", def)
 	}
 }
 
 func TestParseBenchBestPerMetric(t *testing.T) {
 	var echo strings.Builder
-	var m metricFlags
-	for _, v := range []string{"stream", "replay"} {
-		if err := m.Set(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := parseBench(strings.NewReader(sampleBench), &echo, m.resolve(0.30))
+	obs, err := parseBench(strings.NewReader(sampleBench), &echo)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Best of count, from suffixed ("stream-8") and bare ("replay") names.
-	want := map[string]float64{"stream": 2100000, "replay": 3400000}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("best[%s] = %v, want %v", k, got[k], v)
-		}
 	}
 	if echo.String() != sampleBench {
 		t.Error("input was not echoed verbatim")
 	}
+	higher := record{Better: "higher"}
+	lower := record{Better: "lower"}
+	for _, tc := range []struct {
+		k    key
+		r    record
+		want float64
+	}{
+		// Suffixed ("stream-8") and bare ("replay") names both count.
+		{key{"BenchmarkRunCalls/stream", "calls/sec"}, higher, 2100000},
+		{key{"BenchmarkRunCalls/replay", "calls/sec"}, higher, 3400000},
+		{key{"BenchmarkRunCalls/stream", "allocs/op"}, lower, 349},
+		{key{"BenchmarkRunCalls/replay", "ns/op"}, lower, 250000000},
+		{key{"BenchmarkNewStream/nsfnet-drain", "B/op"}, lower, 677352},
+		{key{"BenchmarkErlangBound/nsfnet-12loads", "ns/op"}, lower, 10202642},
+	} {
+		vals, ok := obs[tc.k]
+		if !ok {
+			t.Errorf("%v: not observed", tc.k)
+			continue
+		}
+		if got := tc.r.best(vals); got != tc.want {
+			t.Errorf("%v: best %v, want %v", tc.k, got, tc.want)
+		}
+	}
+	for k := range obs {
+		if strings.HasPrefix(k.bench, "BenchmarkBroken") {
+			t.Errorf("non-result line parsed: %v", k)
+		}
+	}
 }
 
 func TestBaselineBest(t *testing.T) {
-	var m metricFlags
-	for _, v := range []string{"stream", "replay"} {
-		if err := m.Set(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sels := m.resolve(0.30)
-	got, err := baselineBest([]byte(sampleBaseline), sels)
+	l, err := readLedger([]byte(`{"records": [
+		{"benchmark": "BenchmarkRunCalls/replay", "metric": "calls/sec", "better": "higher",
+		 "samples": [3394775, 3340919, 3382691], "max_regress": 0.3},
+		{"benchmark": "BenchmarkRunCalls/replay", "metric": "allocs/op", "better": "lower",
+		 "samples": [33, 31, 32]}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{"stream": 2105578, "replay": 3394775}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("baseline best[%s] = %v, want %v", k, got[k], v)
+	if got := l.Records[0].best(l.Records[0].Samples); got != 3394775 {
+		t.Errorf("higher-is-better best = %v", got)
+	}
+	if got := l.Records[1].best(l.Records[1].Samples); got != 31 {
+		t.Errorf("lower-is-better best = %v", got)
+	}
+	if l.Records[1].MaxRegress != nil {
+		t.Error("unbudgeted record carries a budget")
+	}
+	for name, bad := range map[string]string{
+		"not JSON":         `{"records": [`,
+		"no records":       `{"records": []}`,
+		"unknown field":    `{"records": [{"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [1], "max_regres": 0.3}]}`,
+		"no metric":        `{"records": [{"benchmark": "B", "better": "lower", "samples": [1]}]}`,
+		"bad direction":    `{"records": [{"benchmark": "B", "metric": "ns/op", "better": "faster", "samples": [1]}]}`,
+		"no samples":       `{"records": [{"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": []}]}`,
+		"negative sample":  `{"records": [{"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [-1]}]}`,
+		"budget of 1":      `{"records": [{"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [1], "max_regress": 1}]}`,
+		"negative budget":  `{"records": [{"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [1], "max_regress": -0.1}]}`,
+		"recorded twice":   `{"records": [{"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [1]}, {"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [2]}]}`,
+		"no benchmark":     `{"records": [{"metric": "ns/op", "better": "lower", "samples": [1]}]}`,
+		"host not a block": `{"host": "x", "records": [{"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [1]}]}`,
+	} {
+		if _, err := readLedger([]byte(bad)); err == nil {
+			t.Errorf("%s: ledger accepted", name)
 		}
-	}
-	// Scalar form is accepted too.
-	got, err = baselineBest([]byte(`{"optimized": {
-		"run_calls_stream_calls_per_sec": 100,
-		"run_calls_replay_calls_per_sec": 200}}`), classicPair())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["stream"] != 100 || got["replay"] != 200 {
-		t.Fatalf("scalar baseline best = %v", got)
-	}
-	if _, err := baselineBest([]byte(`{"optimized": {}}`), classicPair()); err == nil {
-		t.Error("missing keys should be an error")
-	}
-	if _, err := baselineBest([]byte(`{"optimized": {
-		"run_calls_stream_calls_per_sec": 0,
-		"run_calls_replay_calls_per_sec": 200}}`), classicPair()); err == nil {
-		t.Error("non-positive baseline should be an error")
-	}
-	// Only the selected metrics must be in the file: a lone stream key
-	// serves a stream-only selection, and fails one that selects replay.
-	streamOnly := []byte(`{"optimized": {
-		"run_calls_stream_calls_per_sec": 100}}`)
-	if _, err := baselineBest(streamOnly, []selection{{name: "stream"}}); err != nil {
-		t.Errorf("selected metric present in file: %v", err)
-	}
-	if _, err := baselineBest(streamOnly, []selection{{name: "replay"}}); err == nil {
-		t.Error("missing selected metric should be an error")
 	}
 }
 
+func budget(f float64) *float64 { return &f }
+
 func TestCheckThreshold(t *testing.T) {
-	baseline := map[string]float64{"stream": 2000000, "replay": 3000000}
-	cases := []struct {
-		name     string
-		observed map[string]float64
-		ok       bool
-	}{
-		{"all good", map[string]float64{"stream": 1900000, "replay": 3100000}, true},
-		{"at the floor", map[string]float64{"stream": 1400000, "replay": 2100000}, true},
-		{"one regressed", map[string]float64{"stream": 1399999, "replay": 3000000}, false},
-		{"missing variant", map[string]float64{"replay": 3000000}, false},
-		{"empty input", map[string]float64{}, false},
+	l := &ledger{Records: []record{
+		{Benchmark: "BenchmarkRunCalls/stream", Metric: "calls/sec", Better: "higher", Samples: []float64{2000000}, MaxRegress: budget(0.30)},
+		{Benchmark: "BenchmarkRunCalls/replay", Metric: "calls/sec", Better: "higher", Samples: []float64{3000000}, MaxRegress: budget(0.30)},
+		{Benchmark: "BenchmarkRunCalls/replay", Metric: "allocs/op", Better: "lower", Samples: []float64{40, 50}, MaxRegress: budget(0.25)},
+		// No budget: history, never checked and never missing.
+		{Benchmark: "BenchmarkRunBare", Metric: "ns/op", Better: "lower", Samples: []float64{1}},
+	}}
+	obs := func(stream, replay, allocs float64) map[key][]float64 {
+		m := map[key][]float64{}
+		if stream > 0 {
+			m[key{"BenchmarkRunCalls/stream", "calls/sec"}] = []float64{stream / 2, stream}
+		}
+		if replay > 0 {
+			m[key{"BenchmarkRunCalls/replay", "calls/sec"}] = []float64{replay}
+		}
+		if allocs > 0 {
+			m[key{"BenchmarkRunCalls/replay", "allocs/op"}] = []float64{allocs * 2, allocs}
+		}
+		return m
 	}
-	for _, tc := range cases {
-		lines, ok := check(tc.observed, baseline, classicPair())
+	for _, tc := range []struct {
+		name string
+		obs  map[key][]float64
+		ok   bool
+	}{
+		{"all good", obs(1900000, 3100000, 40), true},
+		{"at the floors and ceiling", obs(1400000, 2100000, 50), true},
+		{"throughput regressed", obs(1399999, 3000000, 40), false},
+		{"lower-is-better unit regressed", obs(2000000, 3000000, 51), false},
+		{"missing budgeted record", obs(2000000, 3000000, 0), false},
+		{"empty input", map[key][]float64{}, false},
+	} {
+		lines, ok := check(l, tc.obs)
 		if ok != tc.ok {
 			t.Errorf("%s: ok=%v, want %v (%v)", tc.name, ok, tc.ok, lines)
 		}
-		if len(lines) != 2 {
-			t.Errorf("%s: want one verdict line per guarded metric, got %v", tc.name, lines)
+		if len(lines) != 3 {
+			t.Errorf("%s: want one verdict line per budgeted record, got %v", tc.name, lines)
 		}
 	}
 }
 
 // TestCheckPerMetricFloors: the same observation passes or fails
-// depending on each metric's own budget.
+// depending on each record's own budget.
 func TestCheckPerMetricFloors(t *testing.T) {
-	baseline := map[string]float64{"replay": 1000000, "stream": 1000000}
-	observed := map[string]float64{"replay": 900000, "stream": 900000}
-	lines, ok := check(observed, baseline, []selection{
-		{name: "replay", regress: 0.30},
-		{name: "stream", regress: 0.30},
-	})
-	if !ok {
+	ledgerWith := func(replay, stream float64) *ledger {
+		return &ledger{Records: []record{
+			{Benchmark: "BenchmarkRunCalls/replay", Metric: "calls/sec", Better: "higher", Samples: []float64{1000000}, MaxRegress: budget(replay)},
+			{Benchmark: "BenchmarkRunCalls/stream", Metric: "calls/sec", Better: "higher", Samples: []float64{1000000}, MaxRegress: budget(stream)},
+		}}
+	}
+	observed := map[key][]float64{
+		{"BenchmarkRunCalls/replay", "calls/sec"}: {900000},
+		{"BenchmarkRunCalls/stream", "calls/sec"}: {900000},
+	}
+	if lines, ok := check(ledgerWith(0.30, 0.30), observed); !ok {
 		t.Fatalf("10%% drop under a 30%% budget should pass: %v", lines)
 	}
-	lines, ok = check(observed, baseline, []selection{
-		{name: "replay", regress: 0.30},
-		{name: "stream", regress: 0.05},
-	})
+	lines, ok := check(ledgerWith(0.30, 0.05), observed)
 	if ok {
 		t.Fatalf("10%% drop under a 5%% budget should fail: %v", lines)
 	}
 	if len(lines) != 2 || !strings.Contains(lines[1], "FAIL") || strings.Contains(lines[0], "FAIL") {
 		t.Fatalf("expected only stream to fail: %v", lines)
+	}
+}
+
+// guard runs the command on the given ledger bytes and bench output and
+// returns its exit status.
+func guard(t *testing.T, ledgerJSON []byte, bench string) (int, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(path, ledgerJSON, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	code := run([]string{"-ledger", path}, strings.NewReader(bench), &stdout, &stderr)
+	return code, stderr.String()
+}
+
+func TestMalformedLedgerExits2(t *testing.T) {
+	for _, bad := range []string{`not json`, `{"records": [{"benchmark": "B", "metric": "ns/op", "better": "up", "samples": [1]}]}`} {
+		if code, msg := guard(t, []byte(bad), sampleBench); code != 2 {
+			t.Errorf("ledger %q: exit %d, want 2 (%s)", bad, code, msg)
+		}
+	}
+	var stderr strings.Builder
+	if code := run([]string{"-ledger", filepath.Join(t.TempDir(), "absent.json")}, strings.NewReader(""), &strings.Builder{}, &stderr); code != 2 {
+		t.Errorf("absent ledger: exit %d, want 2", code)
+	}
+	if code := run([]string{"-max-regress", "0.3"}, strings.NewReader(""), &strings.Builder{}, &stderr); code != 2 {
+		t.Errorf("removed flag accepted: exit %d", code)
+	}
+}
+
+// TestCheckedInLedger holds BENCH.json itself to the guard: bench output
+// that repeats each budgeted record's best sample passes, the replay
+// throughput budget is no looser than 30%, and inflating the recorded
+// replay samples past that budget fails the guard.
+func TestCheckedInLedger(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := readLedger(data)
+	if err != nil {
+		t.Fatalf("BENCH.json: %v", err)
+	}
+	var bench strings.Builder
+	replay := -1
+	for i, r := range l.Records {
+		if r.MaxRegress == nil {
+			continue
+		}
+		fmt.Fprintf(&bench, "%s-2 \t 10 \t %g %s\n", r.Benchmark, r.best(r.Samples), r.Metric)
+		if r.Benchmark == "BenchmarkRunCalls/replay" && r.Metric == "calls/sec" {
+			replay = i
+		}
+	}
+	if replay < 0 {
+		t.Fatal("BENCH.json does not budget BenchmarkRunCalls/replay calls/sec")
+	}
+	if *l.Records[replay].MaxRegress > 0.30 {
+		t.Errorf("replay budget %v is looser than 0.30", *l.Records[replay].MaxRegress)
+	}
+	if code, msg := guard(t, data, bench.String()); code != 0 {
+		t.Fatalf("best recorded samples fail their own ledger: exit %d\n%s", code, msg)
+	}
+	r := &l.Records[replay]
+	r.Samples[0] = 2 * r.best(r.Samples)
+	inflated, err := json.Marshal(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := guard(t, inflated, bench.String()); code != 1 {
+		t.Fatalf("inflated replay sample: exit %d, want 1\n%s", code, msg)
 	}
 }

@@ -157,7 +157,7 @@ func FixedPointStudy(loads []float64, p SimParams) ([]FixedPointPoint, error) {
 	var out []FixedPointPoint
 	for _, load := range loads {
 		m := nominal.Scaled(load / 10)
-		fpOpts := fixedpoint.Options{Parallelism: p.workers()}
+		var fpOpts fixedpoint.Options
 		if p.Metrics != nil {
 			ct := p.Metrics.Solver(fmt.Sprintf("fixedpoint/load%g", load))
 			fpOpts.OnIteration = func(iter int, residual float64, elapsed time.Duration) {

@@ -35,15 +35,7 @@ type Options struct {
 	// 0-based iteration index, the residual max |ΔB| after the sweep, and
 	// the wall time elapsed since Solve started. The convergence trace of
 	// the solve — pass obs.ConvergenceTrace.Observe (adapted) to export it.
-	// OnIteration fires on the calling goroutine in iteration order even
-	// when Parallelism > 1.
 	OnIteration func(iter int, residual float64, elapsed time.Duration)
-	// Parallelism caps the worker goroutines used for the per-link blocking
-	// evaluations inside each substitution sweep. Each sweep reads only the
-	// previous iterate (Jacobi style), so links are independent within a
-	// sweep and every per-link value — thinned-load sum order included — is
-	// bit-identical to sequential evaluation. 0 or 1 means sequential.
-	Parallelism int
 }
 
 // Result is the converged approximation.
@@ -121,8 +113,7 @@ func Solve(g *graph.Graph, m *traffic.Matrix, table *policy.Table, opts Options)
 	// Per-link incidence lists, in route order. Summing each link's thinned
 	// demand over its own list reproduces the route-major accumulation order
 	// exactly — for a fixed k the contributions arrive in the same sequence —
-	// so the float sums are bit-identical while the links become independent
-	// jobs for the Jacobi fan-out below.
+	// so the float sums are bit-identical.
 	linkRoutes := make([][]int32, nl)
 	for ri, rd := range routes {
 		for _, k := range rd.links {
@@ -142,35 +133,28 @@ func Solve(g *graph.Graph, m *traffic.Matrix, table *policy.Table, opts Options)
 	iter := 0
 	for ; iter < opts.MaxIterations; iter++ {
 		// Jacobi sweep: every link's thinned load and blocking update read
-		// only the previous iterate b, so links partition into independent
-		// jobs. Each job writes rho[k] and next[k] for its own k alone; the
-		// residual folds sequentially afterwards. The iteration sequence is
-		// therefore bit-for-bit the sequential one at any worker count.
-		parallelLinks(nl, opts.Parallelism, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				sum := 0.0
-				for _, ri := range linkRoutes[k] {
-					rd := &routes[ri]
-					thin := rd.demand
-					for _, l := range rd.links {
-						if int(l) != k {
-							thin *= 1 - b[l]
-						}
-					}
-					sum += thin
-				}
-				rho[k] = sum
-				if !g.Up(graph.LinkID(k)) {
-					// Failed links block with certainty; skip damping so the
-					// value is exact from the first sweep.
-					next[k] = 1
-				} else {
-					next[k] = (1-opts.Damping)*b[k] + opts.Damping*cache.B(rho[k], caps[k])
-				}
-			}
-		})
+		// only the previous iterate b.
 		worst := 0.0
 		for k := 0; k < nl; k++ {
+			sum := 0.0
+			for _, ri := range linkRoutes[k] {
+				rd := &routes[ri]
+				thin := rd.demand
+				for _, l := range rd.links {
+					if int(l) != k {
+						thin *= 1 - b[l]
+					}
+				}
+				sum += thin
+			}
+			rho[k] = sum
+			if !g.Up(graph.LinkID(k)) {
+				// Failed links block with certainty; skip damping so the
+				// value is exact from the first sweep.
+				next[k] = 1
+			} else {
+				next[k] = (1-opts.Damping)*b[k] + opts.Damping*cache.B(rho[k], caps[k])
+			}
 			if d := math.Abs(next[k] - b[k]); d > worst {
 				worst = d
 			}

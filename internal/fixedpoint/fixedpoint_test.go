@@ -240,84 +240,3 @@ func TestSolveOnIterationTrace(t *testing.T) {
 			res.NetworkBlocking, res.Iterations, bare.NetworkBlocking, bare.Iterations)
 	}
 }
-
-// TestSolveParallelBitIdentical proves the Jacobi fan-out contract: Solve
-// with any Parallelism produces the same iteration sequence — every
-// per-iteration residual observed by OnIteration and every converged value —
-// bit-for-bit as the sequential solve, on both paper networks and under a
-// link failure (the next[k]=1 branch).
-func TestSolveParallelBitIdentical(t *testing.T) {
-	type scenario struct {
-		name string
-		g    *graph.Graph
-		m    *traffic.Matrix
-		fail bool
-	}
-	qm := traffic.Uniform(4, 90)
-	ng := netmodel.NSFNet()
-	nm, _, err := traffic.NSFNetNominal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenarios := []scenario{
-		{name: "quadrangle-90E", g: netmodel.Quadrangle(), m: qm},
-		{name: "nsfnet-nominal", g: ng, m: nm},
-		{name: "nsfnet-failure", g: netmodel.NSFNet(), m: nm, fail: true},
-	}
-	for _, sc := range scenarios {
-		if sc.fail {
-			sc.g.SetDown(0, true)
-		}
-		tbl, err := policy.BuildMinHop(sc.g, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		solve := func(workers int) (*Result, []uint64) {
-			var residuals []uint64
-			res, err := Solve(sc.g, sc.m, tbl, Options{
-				Parallelism: workers,
-				OnIteration: func(iter int, residual float64, elapsed time.Duration) {
-					residuals = append(residuals, math.Float64bits(residual))
-				},
-			})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", sc.name, workers, err)
-			}
-			return res, residuals
-		}
-		want, wantRes := solve(1)
-		for _, workers := range []int{2, 8} {
-			got, gotRes := solve(workers)
-			if got.Iterations != want.Iterations {
-				t.Fatalf("%s workers=%d: %d iterations, want %d", sc.name, workers, got.Iterations, want.Iterations)
-			}
-			if math.Float64bits(got.NetworkBlocking) != math.Float64bits(want.NetworkBlocking) {
-				t.Fatalf("%s workers=%d: NetworkBlocking %v != %v", sc.name, workers, got.NetworkBlocking, want.NetworkBlocking)
-			}
-			for k := range want.LinkBlocking {
-				if math.Float64bits(got.LinkBlocking[k]) != math.Float64bits(want.LinkBlocking[k]) {
-					t.Fatalf("%s workers=%d: LinkBlocking[%d] bits differ", sc.name, workers, k)
-				}
-				if math.Float64bits(got.ReducedLoad[k]) != math.Float64bits(want.ReducedLoad[k]) {
-					t.Fatalf("%s workers=%d: ReducedLoad[%d] bits differ", sc.name, workers, k)
-				}
-			}
-			if len(got.PathBlocking) != len(want.PathBlocking) {
-				t.Fatalf("%s workers=%d: PathBlocking size %d != %d", sc.name, workers, len(got.PathBlocking), len(want.PathBlocking))
-			}
-			for pair, v := range want.PathBlocking {
-				if math.Float64bits(got.PathBlocking[pair]) != math.Float64bits(v) {
-					t.Fatalf("%s workers=%d: PathBlocking[%v] bits differ", sc.name, workers, pair)
-				}
-			}
-			if len(gotRes) != len(wantRes) {
-				t.Fatalf("%s workers=%d: %d residuals, want %d", sc.name, workers, len(gotRes), len(wantRes))
-			}
-			for i := range wantRes {
-				if gotRes[i] != wantRes[i] {
-					t.Fatalf("%s workers=%d: residual %d bits %x != %x", sc.name, workers, i, gotRes[i], wantRes[i])
-				}
-			}
-		}
-	}
-}

@@ -23,8 +23,9 @@
 //
 // Like the rest of the obs layer the package is allocation-light on the hot
 // path: the per-run window ring and the per-link integration scratch are
-// preallocated and reused, so an attached Folder stays inside the
-// instrumentation overhead budget recorded in BENCH_obs.json.
+// preallocated and reused, so an attached Folder costs little over any
+// other sink: BENCH.json records BenchmarkRunTimeseries against
+// BenchmarkRunInstrumented.
 package timeseries
 
 import (

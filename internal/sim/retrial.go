@@ -87,12 +87,9 @@ func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 10
 	}
-	horizon := cfg.Horizon
-	if horizon <= 0 {
-		horizon = cfg.Trace.Horizon
-	}
-	if cfg.Warmup < 0 || cfg.Warmup >= horizon {
-		return nil, fmt.Errorf("sim: warmup %v outside [0, %v)", cfg.Warmup, horizon)
+	horizon, err := cfg.window(cfg.Trace.Horizon)
+	if err != nil {
+		return nil, err
 	}
 
 	st := NewState(cfg.Graph)
@@ -124,8 +121,10 @@ func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 
 	measured := func(c Call) bool { return c.Arrival >= cfg.Warmup && c.Arrival < horizon }
 
+	util := occupancyIntegral{st: st, util: res.LinkTimeUtil, warmup: cfg.Warmup, horizon: horizon}
 	for events.Len() > 0 {
 		e := heap.Pop(events).(retrialEvent)
+		util.advance(e.at)
 		if e.release {
 			st.Release(activePaths[e.path])
 			continue
@@ -179,5 +178,6 @@ func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 			}
 		}
 	}
+	res.Span = util.finish()
 	return res, nil
 }

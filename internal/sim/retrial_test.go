@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -40,6 +41,18 @@ func TestRetrialZeroProbabilityMatchesRun(t *testing.T) {
 	if got.Retries != 0 || got.RetrySuccesses != 0 {
 		t.Errorf("p=0 generated retries: %d/%d", got.Retries, got.RetrySuccesses)
 	}
+	// The rest of the Result is filled too: the window and the time-average
+	// occupancy agree with Run's (to rounding: Run integrates each link
+	// lazily, so its float sums split at different epochs).
+	if got.Span != want.Span || got.Throughput() != want.Throughput() {
+		t.Errorf("p=0 retrials: span %v throughput %v, plain %v %v",
+			got.Span, got.Throughput(), want.Span, want.Throughput())
+	}
+	for id, w := range want.LinkTimeUtil {
+		if w <= 0 || math.Abs(got.LinkTimeUtil[id]-w) > 1e-9*w {
+			t.Errorf("p=0 retrials: link %d utilization %v, plain %v", id, got.LinkTimeUtil[id], w)
+		}
+	}
 }
 
 func TestRetrialsRescueSomeCalls(t *testing.T) {
@@ -70,6 +83,14 @@ func TestRetrialsRescueSomeCalls(t *testing.T) {
 	// Conservation still holds on first-attempt accounting.
 	if retried.Offered != retried.Accepted+retried.Blocked {
 		t.Errorf("conservation: %d != %d + %d", retried.Offered, retried.Accepted, retried.Blocked)
+	}
+	// Rescued calls add carried time: the window is set and the link's
+	// time-average occupancy rises but stays within its capacity.
+	if retried.Span != 200 || math.IsNaN(retried.Throughput()) {
+		t.Errorf("span %v, throughput %v", retried.Span, retried.Throughput())
+	}
+	if u := retried.LinkTimeUtil[0]; !(u > base.LinkTimeUtil[0]) || u > 10 {
+		t.Errorf("utilization %v with retrials, %v without (capacity 10)", u, base.LinkTimeUtil[0])
 	}
 }
 

@@ -388,6 +388,7 @@ type loop struct {
 
 	numNodes                 int
 	pairOffered, pairBlocked []int64
+	offGraph                 Call // the call that stopped run, if any
 
 	sink                          obs.Sink
 	instrumented, occupancyEvents bool
@@ -798,14 +799,17 @@ func (l *loop) blocked(c Call, pairIdx int, measured bool, win *WindowStats, blo
 // compiled, else admitRoute, after draining departures and plan events up
 // to its epoch (guarded by the nextDep/nextPlan scalars). Every plan group
 // triggers a recompile (a TopologyHook may have swapped tables): a failure
-// moves the run onto Policy.Route, a later success moves it back.
+// moves the run onto Policy.Route, a later success moves it back. A call
+// whose origin or destination is not a node of the graph stops the run:
+// run returns false and leaves the call in l.offGraph.
 //
 //altlint:hotpath
-func (l *loop) run(th *routetable.Thresholds, compiled bool) {
+func (l *loop) run(th *routetable.Thresholds, compiled bool) bool {
 	if compiled {
 		l.deps.base = th.Table().Links
 	}
 	nextDep, nextPlan := l.nextEpochs()
+	nodes := uint(l.numNodes)
 	replay := l.cfg.Trace != nil
 	var calls []Call
 	if replay {
@@ -815,17 +819,21 @@ func (l *loop) run(th *routetable.Thresholds, compiled bool) {
 		var c Call
 		if replay {
 			if i >= len(calls) {
-				return
+				return true
 			}
 			c = calls[i]
 		} else {
 			var more bool
 			if c, more = l.cfg.Source.Next(); !more {
-				return
+				return true
 			}
 		}
 		if c.Arrival >= l.horizon {
-			return
+			return true
+		}
+		if uint(c.Origin) >= nodes || uint(c.Dest) >= nodes {
+			l.offGraph = c
+			return false
 		}
 		if nextDep <= c.Arrival || nextPlan <= c.Arrival {
 			piBefore := l.pi
@@ -837,7 +845,7 @@ func (l *loop) run(th *routetable.Thresholds, compiled bool) {
 			}
 			nextDep, nextPlan = l.nextEpochs()
 		}
-		pairIdx := int(c.Origin)*l.numNodes + int(c.Dest)
+		pairIdx := int(uint(c.Origin)*nodes + uint(c.Dest))
 		measured, win := l.offered(c, pairIdx)
 		var carried bool
 		if compiled {
@@ -925,6 +933,26 @@ func (l *loop) finish() {
 	}
 }
 
+// window resolves a run's horizon — cfg.Horizon, else the arrival
+// source's own — and checks the measurement window [Warmup, horizon). NaN
+// comparisons are all false, so a NaN warmup or horizon would slip past
+// the range check and silently poison every counter; non-finite windows
+// are rejected explicitly. Every engine (Run, RunWithRetrials,
+// RunSignaling) resolves its window here.
+func (cfg *Config) window(srcHorizon float64) (float64, error) {
+	horizon := cfg.Horizon
+	if horizon <= 0 {
+		horizon = srcHorizon
+	}
+	if math.IsNaN(cfg.Warmup) || math.IsInf(cfg.Warmup, 0) || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
+		return 0, fmt.Errorf("sim: warmup %v and horizon %v must be finite", cfg.Warmup, horizon)
+	}
+	if cfg.Warmup < 0 || cfg.Warmup >= horizon {
+		return 0, fmt.Errorf("sim: warmup %v outside [0, %v)", cfg.Warmup, horizon)
+	}
+	return horizon, nil
+}
+
 // Run replays the trace against the policy and returns the measurement
 // window statistics. Setup propagation is instantaneous: each call is
 // admitted or lost atomically at its arrival epoch, which matches the
@@ -948,18 +976,9 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		seed, srcHorizon = cfg.Source.Seed(), cfg.Source.Horizon()
 	}
-	horizon := cfg.Horizon
-	if horizon <= 0 {
-		horizon = srcHorizon
-	}
-	// NaN comparisons are all false, so a NaN warmup or horizon would slip
-	// past the range check below and silently poison every counter — reject
-	// non-finite windows explicitly.
-	if math.IsNaN(cfg.Warmup) || math.IsInf(cfg.Warmup, 0) || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
-		return nil, fmt.Errorf("sim: warmup %v and horizon %v must be finite", cfg.Warmup, horizon)
-	}
-	if cfg.Warmup < 0 || cfg.Warmup >= horizon {
-		return nil, fmt.Errorf("sim: warmup %v outside [0, %v)", cfg.Warmup, horizon)
+	horizon, err := cfg.window(srcHorizon)
+	if err != nil {
+		return nil, err
 	}
 	plan, err := cfg.Failures.normalized(cfg.Graph)
 	if err != nil {
@@ -1000,7 +1019,10 @@ func Run(cfg Config) (*Result, error) {
 
 	obs.Emit(l.sink, obs.Event{Kind: obs.KindRunStart, Policy: res.Policy, Seed: seed})
 	var th routetable.Thresholds
-	l.run(&th, compileFor(cfg.Policy, st, &th))
+	if !l.run(&th, compileFor(cfg.Policy, st, &th)) {
+		c := l.offGraph
+		return nil, fmt.Errorf("sim: call %d: %d→%d is not a pair of the graph's %d nodes", c.ID, c.Origin, c.Dest, numNodes)
+	}
 	l.finish()
 	return res, nil
 }

@@ -105,12 +105,9 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 	if cfg.HopDelay < 0 {
 		return nil, fmt.Errorf("sim: negative hop delay")
 	}
-	horizon := cfg.Horizon
-	if horizon <= 0 {
-		horizon = cfg.Trace.Horizon
-	}
-	if cfg.Warmup < 0 || cfg.Warmup >= horizon {
-		return nil, fmt.Errorf("sim: warmup %v outside [0, %v)", cfg.Warmup, horizon)
+	horizon, err := cfg.window(cfg.Trace.Horizon)
+	if err != nil {
+		return nil, err
 	}
 
 	st := NewState(cfg.Graph)
@@ -165,30 +162,11 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 		push(sigEvent{at: now + cfg.HopDelay, kind: sigCheck, call: c, hop: 0, path: p})
 	}
 
-	lastT := 0.0
-	accumulate := func(now float64) {
-		lo := lastT
-		if lo < cfg.Warmup {
-			lo = cfg.Warmup
-		}
-		hi := now
-		if hi > horizon {
-			hi = horizon
-		}
-		if hi > lo {
-			dt := hi - lo
-			for id := range res.LinkTimeUtil {
-				res.LinkTimeUtil[id] += dt * float64(st.Occupancy(graph.LinkID(id)))
-			}
-		}
-		if now > lastT {
-			lastT = now
-		}
-	}
+	util := occupancyIntegral{st: st, util: res.LinkTimeUtil, warmup: cfg.Warmup, horizon: horizon}
 
 	for events.Len() > 0 {
 		e := heap.Pop(events).(sigEvent)
-		accumulate(e.at)
+		util.advance(e.at)
 		switch e.kind {
 		case sigArrival:
 			if measured(e.call) {
@@ -248,10 +226,47 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 			st.Release(e.path)
 		}
 	}
-	accumulate(horizon)
-	window := horizon - cfg.Warmup
-	for id := range res.LinkTimeUtil {
-		res.LinkTimeUtil[id] /= window
-	}
+	res.Span = util.finish()
 	return res, nil
+}
+
+// occupancyIntegral integrates every link's occupancy over the measurement
+// window [warmup, horizon) for the event-heap engines (RunSignaling,
+// RunWithRetrials): advance runs before each event at its epoch, finish
+// closes the window, normalizes util to time averages and returns the
+// window length (Result.Span).
+type occupancyIntegral struct {
+	st              *State
+	util            []float64
+	warmup, horizon float64
+	last            float64
+}
+
+func (o *occupancyIntegral) advance(now float64) {
+	lo := o.last
+	if lo < o.warmup {
+		lo = o.warmup
+	}
+	hi := now
+	if hi > o.horizon {
+		hi = o.horizon
+	}
+	if hi > lo {
+		dt := hi - lo
+		for id := range o.util {
+			o.util[id] += dt * float64(o.st.Occupancy(graph.LinkID(id)))
+		}
+	}
+	if now > o.last {
+		o.last = now
+	}
+}
+
+func (o *occupancyIntegral) finish() float64 {
+	o.advance(o.horizon)
+	window := o.horizon - o.warmup
+	for id := range o.util {
+		o.util[id] /= window
+	}
+	return window
 }

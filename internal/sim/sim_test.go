@@ -391,6 +391,69 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 }
 
+// TestEnginesRejectBadWindows: every engine resolves its measurement
+// window through the same check, so a non-finite or empty window is an
+// error everywhere — never an empty Result with a nil error.
+func TestEnginesRejectBadWindows(t *testing.T) {
+	g, p, m := retrialFixture(t)
+	tr := GenerateTrace(m, 20, 1)
+	nan, inf := math.NaN(), math.Inf(1)
+	engines := []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"Run", func(cfg Config) error { _, err := Run(cfg); return err }},
+		{"RunWithRetrials", func(cfg Config) error {
+			_, err := RunWithRetrials(RetrialConfig{Config: cfg})
+			return err
+		}},
+		{"RunSignaling", func(cfg Config) error {
+			cfg.Policy = attemptFixed{fixedPolicy{p}}
+			_, err := RunSignaling(SignalingConfig{Config: cfg})
+			return err
+		}},
+	}
+	windows := []struct {
+		name            string
+		warmup, horizon float64
+	}{
+		{"NaN warmup", nan, 0},
+		{"infinite warmup", inf, 0},
+		{"negative warmup", -1, 0},
+		{"warmup past horizon", 30, 0},
+		{"NaN horizon", 0, nan},
+		{"infinite horizon", 0, inf},
+	}
+	for _, e := range engines {
+		for _, w := range windows {
+			cfg := Config{Graph: g, Policy: fixedPolicy{p}, Trace: tr, Warmup: w.warmup, Horizon: w.horizon}
+			if err := e.run(cfg); err == nil {
+				t.Errorf("%s, %s: want error", e.name, w.name)
+			}
+		}
+		if err := e.run(Config{Graph: g, Policy: fixedPolicy{p}, Trace: tr, Warmup: 5}); err != nil {
+			t.Errorf("%s, valid window: %v", e.name, err)
+		}
+	}
+}
+
+// TestRunRejectsOffGraphCalls: a call whose origin or destination is not a
+// node of the graph (a hand-built or untrusted trace) is an error from
+// Run, not an index panic.
+func TestRunRejectsOffGraphCalls(t *testing.T) {
+	g := netmodel.Quadrangle()
+	pol := fixedFirstHop{g}
+	for _, od := range [][2]graph.NodeID{{-1, 1}, {0, -1}, {4, 1}, {1, 4}} {
+		tr := &Trace{Horizon: 10, Calls: []Call{
+			{ID: 0, Origin: 0, Dest: 1, Arrival: 1, Holding: 1},
+			{ID: 1, Origin: od[0], Dest: od[1], Arrival: 2, Holding: 1},
+		}}
+		if res, err := Run(Config{Graph: g, Policy: pol, Trace: tr}); err == nil {
+			t.Errorf("%d→%d: want error, got %+v", od[0], od[1], res)
+		}
+	}
+}
+
 func TestRunConservationProperty(t *testing.T) {
 	// Offered = accepted + blocked, and per-pair maps sum to the totals.
 	g := netmodel.Quadrangle()

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Trace file magics guard against feeding arbitrary gob streams to
@@ -38,7 +39,9 @@ func (t *Trace) Encode(w io.Writer) error {
 
 // ReadTrace deserializes a trace written by Encode — either the legacy v1
 // layout or the versioned v2 layout — and validates its structural
-// invariants (sorted arrivals, contiguous IDs, positive holdings).
+// invariants (sorted arrivals, contiguous IDs, finite times, positive
+// holdings, non-negative node ids). Whether the ids name nodes of a
+// particular graph is left to Run, which rejects calls that do not.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	dec := gob.NewDecoder(bufio.NewReader(r))
 	var magic string
@@ -64,7 +67,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("sim: reading trace: %w", err)
 	}
-	if t.Horizon <= 0 {
+	if !(t.Horizon > 0) || math.IsInf(t.Horizon, 0) {
 		return nil, fmt.Errorf("sim: trace horizon %v", t.Horizon)
 	}
 	prev := -1.0
@@ -75,7 +78,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if c.Arrival < prev {
 			return nil, fmt.Errorf("sim: trace not sorted at call %d", i)
 		}
-		if c.Holding <= 0 || c.Arrival < 0 || c.Arrival >= t.Horizon || c.Origin == c.Dest {
+		// Negated comparisons reject NaN, which every ordered comparison
+		// lets through.
+		if !(c.Holding > 0) || math.IsInf(c.Holding, 0) || !(c.Arrival >= 0 && c.Arrival < t.Horizon) ||
+			c.Origin < 0 || c.Dest < 0 || c.Origin == c.Dest {
 			return nil, fmt.Errorf("sim: malformed call %d: %+v", i, c)
 		}
 		prev = c.Arrival

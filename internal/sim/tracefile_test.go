@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
@@ -94,5 +95,45 @@ func TestEncodeWritesV2(t *testing.T) {
 	}
 	if version != traceFileVersion {
 		t.Fatalf("version %d, want %d", version, traceFileVersion)
+	}
+}
+
+// TestReadTraceRejectsUntrustedCalls: a trace file is untrusted input, so
+// every field Run indexes or orders by is checked — negative node ids and
+// non-finite times (which slip past ordered comparisons) are refused.
+func TestReadTraceRejectsUntrustedCalls(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	good := Call{Origin: 0, Dest: 1, Arrival: 1, Holding: 1}
+	cases := []struct {
+		name    string
+		horizon float64
+		call    func(c *Call)
+	}{
+		{"negative origin", 10, func(c *Call) { c.Origin = -1 }},
+		{"negative dest", 10, func(c *Call) { c.Dest = -2 }},
+		{"NaN arrival", 10, func(c *Call) { c.Arrival = nan }},
+		{"NaN holding", 10, func(c *Call) { c.Holding = nan }},
+		{"infinite holding", 10, func(c *Call) { c.Holding = inf }},
+		{"off-graph origin with NaN times", 10, func(c *Call) { c.Origin, c.Arrival, c.Holding = -1, nan, nan }},
+		{"NaN horizon", nan, func(*Call) {}},
+		{"infinite horizon", inf, func(*Call) {}},
+	}
+	for _, tc := range cases {
+		c := good
+		tc.call(&c)
+		var buf bytes.Buffer
+		if err := (&Trace{Horizon: tc.horizon, Calls: []Call{c}}).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if tr, err := ReadTrace(&buf); err == nil {
+			t.Errorf("%s: accepted %+v", tc.name, tr.Calls[0])
+		}
+	}
+	var buf bytes.Buffer
+	if err := (&Trace{Horizon: 10, Calls: []Call{good}}).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTrace(&buf); err != nil {
+		t.Errorf("well-formed call refused: %v", err)
 	}
 }
