@@ -89,8 +89,9 @@ altbench:
 
 # Short fuzz pass over the Erlang-B / Equation-15 invariants, the lazily
 # seeded random source's bit-identity with math/rand, the shared
-# admission kernel against the interpreted policies, and the pruned Erlang
-# bound against exhaustive cut evaluation (CI smoke; the
+# admission kernel against the interpreted policies, the calendar
+# departure queue against a stable sort, and the pruned Erlang bound
+# against exhaustive cut evaluation (CI smoke; the
 # checked-in corpora under internal/*/testdata/fuzz always run in plain
 # `go test`).
 fuzz-smoke:
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzProtectionLevel -fuzztime 10s
 	$(GO) test ./internal/xrand/ -run '^$$' -fuzz FuzzSourceMatchesStdlib -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDecideMatchesRoute -fuzztime 10s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDepartureQueueMatchesReference -fuzztime 10s
 	$(GO) test ./internal/bound/ -run '^$$' -fuzz FuzzErlangBoundMatchesExhaustive -fuzztime 10s
 
 # Run every example end to end with reduced horizons (the CI examples

@@ -15,7 +15,7 @@ import (
 
 // Hotpath machine-checks the zero-allocation contract of the simulator's
 // hot path: functions annotated `//altlint:hotpath` (sim.Run, loop.run,
-// the departure heap, obs.Emit, the timeseries fold) are compiled with the
+// the departure queue, obs.Emit, the timeseries fold) are compiled with the
 // gc escape analysis enabled (`go build -gcflags=-m=2`) and every heap
 // escape or closure allocation attributed inside an annotated function is
 // diffed against the checked-in lint_baseline.json. A new escape is a

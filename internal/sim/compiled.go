@@ -47,12 +47,9 @@ func CompilesFor(p Policy, g *graph.Graph) bool {
 
 // nextEpochs returns the earliest pending departure and plan epochs
 // (+Inf when none), the scalar guards the event loop compares each
-// arrival against instead of re-reading the heap.
+// arrival against instead of re-reading the queue.
 func (l *loop) nextEpochs() (dep, plan float64) {
-	dep, plan = math.Inf(1), math.Inf(1)
-	if l.deps.len() > 0 {
-		dep = l.deps.ents[0].at
-	}
+	dep, plan = l.deps.next(), math.Inf(1)
 	if l.pi < len(l.plan) {
 		plan = l.plan[l.pi].Epoch
 	}

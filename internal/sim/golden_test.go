@@ -1,6 +1,6 @@
 // Golden equivalence tests for the high-throughput simulation core. The
 // optimized engine — streaming arrival generation (lazy per-pair Poisson
-// merge), the allocation-free departure heap, and dense per-pair counters —
+// merge), the allocation-free departure queue, and dense per-pair counters —
 // promises results BIT-IDENTICAL to the original build-sort-replay
 // implementation. This file keeps a verbatim copy of that original (the
 // "reference"): the sort-based trace generators and the container/heap +
@@ -707,33 +707,67 @@ func TestGoldenAggregateFoldback(t *testing.T) {
 	}
 }
 
-// TestGoldenDepartureEpochTies counts the golden traces' calls whose
-// departure epoch Arrival+Holding — computed exactly as Run schedules it —
-// equals another call's. Equal-epoch departures pop in the heap's array
-// order, which only a binary heap reproduces, so a zero count is what lets
-// another queue structure pass the golden suites (DESIGN.md §8). Every
-// call counts, admitted or not, so the count is a policy-independent upper
-// bound on the admitted departures that tie.
+// TestGoldenDepartureEpochTies counts the calls whose departure epoch
+// Arrival+Holding — computed exactly as Run schedules it — equals another
+// call's, over the 15 golden traces and the two simulator inputs of the
+// end-to-end benchmark (NSFNet nominal to horizon 1010 and the 200-node
+// metro stream to horizon 100, both seed 1). Equal-epoch departures pop in
+// push order (DESIGN.md §8), while the verbatim seed engine pops them in
+// container/heap's array order; a zero count is what makes the two
+// engines' pop orders — and so the golden suites — agree by construction.
+// Every call counts, admitted or not, so the count is a policy-independent
+// upper bound on the admitted departures that tie.
 func TestGoldenDepartureEpochTies(t *testing.T) {
 	for _, sc := range goldenScenarios(t) {
 		for _, seed := range goldenSeeds {
-			trace := sim.GenerateTrace(sc.m, sc.horizon, seed)
-			epochs := make([]float64, len(trace.Calls))
-			for i, c := range trace.Calls {
-				epochs[i] = c.Arrival + c.Holding
-			}
-			sort.Float64s(epochs)
-			tied := 0
-			for i, e := range epochs {
-				if (i > 0 && epochs[i-1] == e) || (i+1 < len(epochs) && epochs[i+1] == e) {
-					tied++
-				}
-			}
-			if tied != 0 {
-				t.Errorf("%s/seed=%d: %d of %d calls share a departure epoch", sc.name, seed, tied, len(trace.Calls))
+			if tied, n := departureEpochTies(t, sc.m, sc.horizon, seed); tied != 0 {
+				t.Errorf("%s/seed=%d: %d of %d calls share a departure epoch", sc.name, seed, tied, n)
 			}
 		}
 	}
+	nm, _, err := traffic.NSFNetNominal()
+	if err != nil {
+		t.Fatalf("NSFNet nominal matrix: %v", err)
+	}
+	for _, in := range []struct {
+		name    string
+		m       *traffic.Matrix
+		horizon float64
+		calls   int
+	}{
+		{"nsfnet-nominal/horizon=1010", nm, 1010, 782186},
+		{"metro-200/horizon=100", traffic.MetroLocality(50, 4, 24, 0.006), 100, 1464883},
+	} {
+		tied, n := departureEpochTies(t, in.m, in.horizon, 1)
+		if n != in.calls {
+			t.Errorf("%s/seed=1: %d calls, want %d (not the benchmark's input)", in.name, n, in.calls)
+		}
+		if tied != 0 {
+			t.Errorf("%s/seed=1: %d of %d calls share a departure epoch", in.name, tied, n)
+		}
+	}
+}
+
+// departureEpochTies streams the arrivals of (m, horizon, seed) — the calls
+// GenerateTrace would materialize — and returns how many share their
+// departure epoch with another call, and the call count.
+func departureEpochTies(t *testing.T, m *traffic.Matrix, horizon float64, seed int64) (tied, n int) {
+	t.Helper()
+	src, err := sim.NewStream(m, horizon, seed)
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	var epochs []float64
+	for c, ok := src.Next(); ok; c, ok = src.Next() {
+		epochs = append(epochs, c.Arrival+c.Holding)
+	}
+	sort.Float64s(epochs)
+	for i, e := range epochs {
+		if (i > 0 && epochs[i-1] == e) || (i+1 < len(epochs) && epochs[i+1] == e) {
+			tied++
+		}
+	}
+	return tied, len(epochs)
 }
 
 // --- Parallel-equivalence suite ---------------------------------------------

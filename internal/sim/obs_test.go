@@ -16,7 +16,7 @@ func directPolicy(g *graph.Graph, a, b graph.NodeID) fixedPolicy {
 	return fixedPolicy{paths.Path{Nodes: []graph.NodeID{a, b}, Links: []graph.LinkID{g.LinkBetween(a, b)}}}
 }
 
-// TestEventOrderingDeparturesFirst pins the departure-heap semantics into
+// TestEventOrderingDeparturesFirst pins the departure-queue semantics into
 // the event stream: a departure at epoch t is emitted (and its capacity
 // freed) before an arrival at the same epoch t.
 func TestEventOrderingDeparturesFirst(t *testing.T) {

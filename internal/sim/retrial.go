@@ -111,6 +111,9 @@ func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 		heap.Push(events, e)
 	}
 	for _, c := range cfg.Trace.Calls {
+		if err := c.check(cfg.Graph.NumNodes()); err != nil {
+			return nil, err
+		}
 		if c.Arrival >= horizon {
 			break
 		}

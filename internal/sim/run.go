@@ -162,215 +162,6 @@ func (r *Result) PairBlockingOK(i, j graph.NodeID) (float64, bool) {
 	return float64(r.PerPairBlocked[[2]graph.NodeID{i, j}]) / float64(off), true
 }
 
-// depEntry is one scheduled teardown on the heap: its epoch and the
-// call's path in one of two encodings. ref >= 0 names the row slice
-// base[ref:ref+n] of the compiled route table the call was admitted from
-// — the common case on the fast path, costing no pool traffic at all.
-// ref < 0 means the path lives in pool slot n (arbitrary interpreted or
-// rerouted paths, and every entry of a run with failure events, whose
-// extraction machinery needs the pooled meta). Sift operations move these
-// 16-byte values — no interface boxing, no pointer writes, no write
-// barriers.
-type depEntry struct {
-	at  float64 // departure epoch
-	ref int32   // offset into base, or < 0 for a pooled path
-	n   int32   // hop count (ref >= 0) or pool slot (ref < 0)
-}
-
-// departureHeap schedules call teardowns. It is a hand-rolled binary
-// min-heap over packed (epoch, pool-slot) entries, and the path of each
-// in-progress call lives in a pooled slice reused across departures, so
-// steady-state heap traffic allocates nothing. Sift operations perform
-// container/heap's exact comparison sequence but move the sifted entry as
-// a hole (write it once at its final position instead of swapping at every
-// level) — the resulting array layout, and therefore pop order including
-// equal-epoch ties, matches the seed implementation bit-for-bit.
-type departureHeap struct {
-	ents []depEntry // heap-ordered scheduled departures
-	pool []paths.Path
-	meta []depMeta // call identity of each pool slot (failure teardowns)
-	free []int32   // reusable pool slots
-	// base is the compiled route table's link array (routetable.Flat.Links)
-	// that ref-encoded entries slice into; nil for interpreted runs, which
-	// never create such entries.
-	base []graph.LinkID
-	// needMeta is set when the run has failure-plan events: only then can
-	// extract ever read meta, so plan-less runs skip the per-push meta
-	// store entirely. It also forces every push through the pool (pushRow
-	// included), so extraction — which happens only on such runs — always
-	// finds pooled entries with meta, even across mid-run recompiles that
-	// would invalidate ref encodings.
-	needMeta bool
-}
-
-// depMeta is the call identity carried alongside each pooled path so the
-// failure machinery can name and re-route in-flight calls; the plan-less
-// hot path never reads it.
-type depMeta struct {
-	id           int64
-	origin, dest int32
-}
-
-func (h *departureHeap) len() int { return len(h.ents) }
-
-// push schedules a teardown of path p at epoch at for the call identified
-// by m, storing the path in the pool.
-//
-//altlint:hotpath
-func (h *departureHeap) push(at float64, p paths.Path, m depMeta) {
-	var s int32
-	if n := len(h.free); n > 0 {
-		s = h.free[n-1]
-		h.free = h.free[:n-1]
-		h.pool[s] = p
-		if h.needMeta {
-			h.meta[s] = m
-		}
-	} else {
-		s = int32(len(h.pool))
-		h.pool = append(h.pool, p)
-		if h.needMeta {
-			h.meta = append(h.meta, m)
-		}
-	}
-	h.siftUp(depEntry{at: at, ref: -1, n: s})
-}
-
-// pushRow schedules a teardown of the route-table row base[off:off+n] —
-// the compiled engine's admission result. On a plan-less run the row
-// reference is stored in the entry itself and the pool is never touched;
-// with failure events pending the path is pooled like any other, so
-// extraction sees meta and survives table recompiles.
-//
-//altlint:hotpath
-func (h *departureHeap) pushRow(at float64, off, n int32, m depMeta) {
-	if h.needMeta {
-		h.push(at, paths.Path{Links: h.base[off : off+n]}, m)
-		return
-	}
-	h.siftUp(depEntry{at: at, ref: off, n: n})
-}
-
-// siftUp appends the entry and restores the invariant (container/heap's
-// up, hole form): the comparisons are against the pushed entry's epoch at
-// every level, exactly as when it is swapped upward, so the final layout
-// is identical.
-//
-//altlint:hotpath
-func (h *departureHeap) siftUp(e depEntry) {
-	h.ents = append(h.ents, e)
-	ents := h.ents
-	j := len(ents) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(e.at < ents[i].at) {
-			break
-		}
-		ents[j] = ents[i]
-		j = i
-	}
-	ents[j] = e
-}
-
-// path decodes an entry's path: a compiled route-table row or a pooled
-// slice. The pooled form is only valid until the slot is reused.
-func (h *departureHeap) path(e depEntry) paths.Path {
-	if e.ref >= 0 {
-		return paths.Path{Links: h.base[e.ref : e.ref+e.n]}
-	}
-	return h.pool[e.n]
-}
-
-// pop removes and returns the earliest scheduled teardown. The returned
-// path is only valid until the slot is reused by the next push.
-//
-//altlint:hotpath
-func (h *departureHeap) pop() (at float64, p paths.Path) {
-	n := len(h.ents) - 1
-	top := h.ents[0]
-	last := h.ents[n]
-	h.ents = h.ents[:n]
-	if n > 0 {
-		h.siftDownFrom(0, last)
-	}
-	p = h.path(top)
-	if top.ref < 0 {
-		h.free = append(h.free, top.n)
-	}
-	return top.at, p
-}
-
-// siftDown restores the heap invariant below index i (container/heap's
-// down — same comparison sequence).
-func (h *departureHeap) siftDown(i int) {
-	h.siftDownFrom(i, h.ents[i])
-}
-
-// siftDownFrom places entry e into the hole at index i, moving smaller
-// children up — container/heap's down with the same comparisons against
-// e's epoch at every level, so the final layout matches the swap form
-// bit-for-bit.
-//
-//altlint:hotpath
-func (h *departureHeap) siftDownFrom(i int, e depEntry) {
-	ents := h.ents
-	n := len(ents)
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j, c := j1, ents[j1]
-		if j2 := j1 + 1; j2 < n && ents[j2].at < c.at {
-			j, c = j2, ents[j2]
-		}
-		if !(c.at < e.at) {
-			break
-		}
-		ents[i] = c
-		i = j
-	}
-	ents[i] = e
-}
-
-// torndown is one in-flight call removed from the heap by a link failure.
-type torndown struct {
-	at   float64 // the cancelled departure epoch (arrival + holding)
-	path paths.Path
-	meta depMeta
-}
-
-// extract removes every scheduled departure whose path satisfies hit and
-// rebuilds the heap over the survivors with a Floyd heapify. The extracted
-// paths are copies of the pool entries, so they stay valid across later
-// pushes. Extraction follows heap-array order — callers sort the result
-// (by call id) before acting on it, so the simulation never depends on
-// heap-layout accidents.
-func (h *departureHeap) extract(hit func(paths.Path) bool) []torndown {
-	var out []torndown
-	n := 0
-	for i := 0; i < len(h.ents); i++ {
-		// Extraction only happens on runs with failure events, where
-		// needMeta forces every entry through the pool (see pushRow).
-		s := h.ents[i].n
-		if hit(h.pool[s]) {
-			out = append(out, torndown{at: h.ents[i].at, path: h.pool[s], meta: h.meta[s]})
-			h.free = append(h.free, s)
-			continue
-		}
-		h.ents[n] = h.ents[i]
-		n++
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	h.ents = h.ents[:n]
-	for i := n/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-	return out
-}
-
 // loop is one run's event-loop state. Its one arrival loop (run) admits
 // each call either through the compiled kernel (admitOne, see compiled.go)
 // or through Policy.Route (admitRoute); both drive the same bookkeeping
@@ -381,14 +172,13 @@ type loop struct {
 	cfg     Config
 	st      *State
 	res     *Result
-	deps    departureHeap
+	deps    departureQueue
 	plan    []FailureEvent
 	pi      int
 	horizon float64
 
 	numNodes                 int
 	pairOffered, pairBlocked []int64
-	offGraph                 Call // the call that stopped run, if any
 
 	sink                          obs.Sink
 	instrumented, occupancyEvents bool
@@ -621,7 +411,7 @@ func (l *loop) departed(at float64, path paths.Path) {
 
 // drainTo processes departures and plan events up to the given epoch, in
 // time order. Simultaneous departures run before an arrival at that epoch
-// (heap pop on at <= epoch), so freed capacity is visible to the admission
+// (pop on at <= epoch), so freed capacity is visible to the admission
 // decision — the event stream preserves that order. Departures tie ahead
 // of plan events at the same epoch: a call ending exactly when its link
 // fails completes normally.
@@ -634,43 +424,28 @@ func (l *loop) drainTo(epoch float64) {
 }
 
 // drainFast is drainTo's uninstrumented plan-less form: the same pop →
-// flush → release sequence as pop+departed, fused into one loop with the
+// flush → release sequence as popTo+departed, fused into one loop with the
 // window bounds and slices held in locals. Every floating-point operation
-// and heap comparison is performed in the exact order of the general form,
-// so the two drains are bit-identical; only call overhead and re-loads of
-// loop fields differ.
+// is performed in the exact order of the general form, so the two drains
+// are bit-identical; only call overhead and re-loads of loop fields
+// differ.
 //
 //altlint:hotpath
 func (l *loop) drainFast(epoch float64) {
-	h := &l.deps
+	q := &l.deps
 	occ := l.occ
 	util := l.util[:len(occ)]
 	lastF := l.last[:len(occ)]
 	warm, hor := l.cfg.Warmup, l.horizon
-	base := h.base
-	for len(h.ents) > 0 {
-		e := h.ents[0]
-		if !(e.at <= epoch) {
+	for {
+		e, ok := q.popTo(epoch)
+		if !ok {
 			break
-		}
-		// Pop: move the last entry into the hole at the root.
-		n := len(h.ents) - 1
-		last := h.ents[n]
-		h.ents = h.ents[:n]
-		if n > 0 {
-			h.siftDownFrom(0, last)
 		}
 		// Flush each link of the departed path at the teardown epoch —
 		// flushLink's body with the bounds in registers — then release
 		// (State.Release inlined; the idle-link panic guard is preserved).
-		var links []graph.LinkID
-		if e.ref >= 0 {
-			links = base[e.ref : e.ref+e.n]
-		} else {
-			h.free = append(h.free, e.n)
-			links = h.pool[e.n].Links
-		}
-		for _, id := range links {
+		for _, id := range q.release(e).Links {
 			lo := lastF[id]
 			if lo < warm {
 				lo = warm
@@ -696,16 +471,15 @@ func (l *loop) drainFast(epoch float64) {
 // (departures-first tie rule) or an instrumented run's departure events.
 func (l *loop) drainPlanTo(epoch float64) {
 	for {
-		hasDep := l.deps.len() > 0 && l.deps.ents[0].at <= epoch
-		if l.pi < len(l.plan) && l.plan[l.pi].Epoch <= epoch && !(hasDep && l.deps.ents[0].at <= l.plan[l.pi].Epoch) {
+		if l.pi < len(l.plan) && l.plan[l.pi].Epoch <= epoch && !(l.deps.next() <= l.plan[l.pi].Epoch) {
 			l.applyPlanGroup()
 			continue
 		}
-		if !hasDep {
+		e, ok := l.deps.popTo(epoch)
+		if !ok {
 			break
 		}
-		at, path := l.deps.pop()
-		l.departed(at, path)
+		l.departed(e.at, l.deps.release(e))
 	}
 }
 
@@ -736,7 +510,7 @@ func (l *loop) offered(c Call, pairIdx int) (measured bool, win *WindowStats) {
 }
 
 // admittedRow records one admission of a compiled route-table row: the
-// teardown of base[off:off+hops] is scheduled (see departureHeap.pushRow,
+// teardown of base[off:off+hops] is scheduled (see departureQueue.pushRow,
 // no pool traffic on plan-less runs) and the carried-side counters and
 // events updated. The caller has already booked the row's links.
 func (l *loop) admittedRow(c Call, off, hops int32, alternate, measured bool) {
@@ -800,11 +574,10 @@ func (l *loop) blocked(c Call, pairIdx int, measured bool, win *WindowStats, blo
 // to its epoch (guarded by the nextDep/nextPlan scalars). Every plan group
 // triggers a recompile (a TopologyHook may have swapped tables): a failure
 // moves the run onto Policy.Route, a later success moves it back. A call
-// whose origin or destination is not a node of the graph stops the run:
-// run returns false and leaves the call in l.offGraph.
+// that fails Call.check stops the run with its error.
 //
 //altlint:hotpath
-func (l *loop) run(th *routetable.Thresholds, compiled bool) bool {
+func (l *loop) run(th *routetable.Thresholds, compiled bool) error {
 	if compiled {
 		l.deps.base = th.Table().Links
 	}
@@ -819,21 +592,20 @@ func (l *loop) run(th *routetable.Thresholds, compiled bool) bool {
 		var c Call
 		if replay {
 			if i >= len(calls) {
-				return true
+				return nil
 			}
 			c = calls[i]
 		} else {
 			var more bool
 			if c, more = l.cfg.Source.Next(); !more {
-				return true
+				return nil
 			}
 		}
-		if c.Arrival >= l.horizon {
-			return true
+		if err := c.check(l.numNodes); err != nil {
+			return err
 		}
-		if uint(c.Origin) >= nodes || uint(c.Dest) >= nodes {
-			l.offGraph = c
-			return false
+		if c.Arrival >= l.horizon {
+			return nil
 		}
 		if nextDep <= c.Arrival || nextPlan <= c.Arrival {
 			piBefore := l.pi
@@ -1015,13 +787,12 @@ func Run(cfg Config) (*Result, error) {
 		occ:          st.occ,
 	}
 	l.occupancyEvents = l.instrumented && cfg.OccupancyEvents
-	l.deps.needMeta = len(plan) > 0
+	l.deps.init(horizon, len(plan) > 0)
 
 	obs.Emit(l.sink, obs.Event{Kind: obs.KindRunStart, Policy: res.Policy, Seed: seed})
 	var th routetable.Thresholds
-	if !l.run(&th, compileFor(cfg.Policy, st, &th)) {
-		c := l.offGraph
-		return nil, fmt.Errorf("sim: call %d: %d→%d is not a pair of the graph's %d nodes", c.ID, c.Origin, c.Dest, numNodes)
+	if err := l.run(&th, compileFor(cfg.Policy, st, &th)); err != nil {
+		return nil, err
 	}
 	l.finish()
 	return res, nil

@@ -398,21 +398,7 @@ func TestEnginesRejectBadWindows(t *testing.T) {
 	g, p, m := retrialFixture(t)
 	tr := GenerateTrace(m, 20, 1)
 	nan, inf := math.NaN(), math.Inf(1)
-	engines := []struct {
-		name string
-		run  func(Config) error
-	}{
-		{"Run", func(cfg Config) error { _, err := Run(cfg); return err }},
-		{"RunWithRetrials", func(cfg Config) error {
-			_, err := RunWithRetrials(RetrialConfig{Config: cfg})
-			return err
-		}},
-		{"RunSignaling", func(cfg Config) error {
-			cfg.Policy = attemptFixed{fixedPolicy{p}}
-			_, err := RunSignaling(SignalingConfig{Config: cfg})
-			return err
-		}},
-	}
+	engines := threeEngines(p)
 	windows := []struct {
 		name            string
 		warmup, horizon float64
@@ -433,6 +419,94 @@ func TestEnginesRejectBadWindows(t *testing.T) {
 		}
 		if err := e.run(Config{Graph: g, Policy: fixedPolicy{p}, Trace: tr, Warmup: 5}); err != nil {
 			t.Errorf("%s, valid window: %v", e.name, err)
+		}
+	}
+}
+
+// threeEngines runs one Config through each engine (the signaling engine
+// with p as its attempt policy) and returns only the error.
+func threeEngines(p paths.Path) []struct {
+	name string
+	run  func(Config) error
+} {
+	return []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"Run", func(cfg Config) error { _, err := Run(cfg); return err }},
+		{"RunWithRetrials", func(cfg Config) error {
+			_, err := RunWithRetrials(RetrialConfig{Config: cfg})
+			return err
+		}},
+		{"RunSignaling", func(cfg Config) error {
+			cfg.Policy = attemptFixed{fixedPolicy{p}}
+			_, err := RunSignaling(SignalingConfig{Config: cfg})
+			return err
+		}},
+	}
+}
+
+// sliceSource is an ArrivalSource over a fixed call slice, for feeding
+// Run calls no Stream would generate.
+type sliceSource struct {
+	calls   []Call
+	horizon float64
+}
+
+func (s *sliceSource) Next() (Call, bool) {
+	if len(s.calls) == 0 {
+		return Call{}, false
+	}
+	c := s.calls[0]
+	s.calls = s.calls[1:]
+	return c, true
+}
+func (s *sliceSource) Horizon() float64 { return s.horizon }
+func (s *sliceSource) Seed() int64      { return 0 }
+
+// TestEnginesRejectUntrustedCalls: a call whose arrival or holding is not
+// a finite epoch of the right sign — or whose origin or destination is not
+// a node — is an error from every engine, whether it comes from an
+// in-memory Trace or (for Run) a Source. Without the check a NaN holding
+// is scheduled as a departure that compares false with every epoch, which
+// silently changes other calls' outcomes.
+func TestEnginesRejectUntrustedCalls(t *testing.T) {
+	g, p, m := retrialFixture(t)
+	tr := GenerateTrace(m, 20, 1)
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		name string
+		edit func(*Call)
+	}{
+		{"NaN holding", func(c *Call) { c.Holding = nan }},
+		{"infinite holding", func(c *Call) { c.Holding = inf }},
+		{"negative infinite holding", func(c *Call) { c.Holding = -inf }},
+		{"negative holding", func(c *Call) { c.Holding = -1 }},
+		{"zero holding", func(c *Call) { c.Holding = 0 }},
+		{"NaN arrival", func(c *Call) { c.Arrival = nan }},
+		{"infinite arrival", func(c *Call) { c.Arrival = inf }},
+		{"negative infinite arrival", func(c *Call) { c.Arrival = -inf }},
+		{"negative arrival", func(c *Call) { c.Arrival = -1 }},
+		{"origin off the graph", func(c *Call) { c.Origin = 2 }},
+		{"negative destination", func(c *Call) { c.Dest = -1 }},
+	}
+	for _, b := range bad {
+		calls := append([]Call(nil), tr.Calls...)
+		b.edit(&calls[len(calls)/2])
+		badTrace := &Trace{Calls: calls, Horizon: tr.Horizon, Seed: tr.Seed}
+		for _, e := range threeEngines(p) {
+			if err := e.run(Config{Graph: g, Policy: fixedPolicy{p}, Trace: badTrace, Warmup: 5}); err == nil {
+				t.Errorf("%s, %s: want error", e.name, b.name)
+			}
+		}
+		src := &sliceSource{calls: calls, horizon: tr.Horizon}
+		if res, err := Run(Config{Graph: g, Policy: fixedPolicy{p}, Source: src, Warmup: 5}); err == nil {
+			t.Errorf("Run from a Source, %s: want error, got %+v", b.name, res)
+		}
+	}
+	for _, e := range threeEngines(p) {
+		if err := e.run(Config{Graph: g, Policy: fixedPolicy{p}, Trace: tr, Warmup: 5}); err != nil {
+			t.Errorf("%s, clean trace: %v", e.name, err)
 		}
 	}
 }

@@ -8,6 +8,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/graph"
 	"repro/internal/traffic"
 )
@@ -22,6 +25,23 @@ type Call struct {
 	Origin, Dest graph.NodeID
 	// Arrival is the arrival epoch; Holding the call duration (mean 1).
 	Arrival, Holding float64
+}
+
+// check is the one validity rule for a call an engine reads from an
+// in-memory Trace or Source, the rule ReadTrace applies to trace files:
+// origin and destination are nodes of the graph, the arrival is finite and
+// non-negative, the holding finite and positive. The comparisons are
+// written so that NaN fails them. Run, RunWithRetrials and RunSignaling
+// check every call they read; an unchecked NaN or infinite epoch would
+// silently reorder the departure queue.
+func (c Call) check(numNodes int) error {
+	if uint(c.Origin) >= uint(numNodes) || uint(c.Dest) >= uint(numNodes) {
+		return fmt.Errorf("sim: call %d: %d→%d is not a pair of the graph's %d nodes", c.ID, c.Origin, c.Dest, numNodes)
+	}
+	if !(c.Arrival >= 0 && c.Arrival <= math.MaxFloat64 && c.Holding > 0 && c.Holding <= math.MaxFloat64) {
+		return fmt.Errorf("sim: call %d: arrival %v and holding %v must be finite, arrival ≥ 0 and holding > 0", c.ID, c.Arrival, c.Holding)
+	}
+	return nil
 }
 
 // Trace is an immutable arrival sequence sorted by arrival time.
