@@ -61,8 +61,13 @@ bench:
 # cmd/benchguard against every BENCH.json record that carries a
 # max_regress budget; a budgeted record missing from the output fails too.
 # Short -benchtime keeps it cheap (and noisy, hence the generous budgets).
+# The set-up benchmarks are guarded on allocs/op only, which does not
+# depend on the host.
 bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkRunCalls -benchmem -benchtime 0.3s -count 3 . | $(GO) run ./cmd/benchguard -ledger BENCH.json
+	{ $(GO) test -run '^$$' -bench BenchmarkRunCalls -benchmem -benchtime 0.3s -count 3 . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkBuildMinHop/metro200-H2$$' -benchmem -benchtime 0.3s -count 3 ./internal/policy/ && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkNewStream/metro200$$' -benchmem -benchtime 0.3s -count 3 ./internal/sim/; } \
+	| $(GO) run ./cmd/benchguard -ledger BENCH.json
 
 # CPU+heap profile of the hot path via BenchmarkRunCalls (replay = event
 # loop only). Inspect with `go tool pprof cpu.out`. For profiling a real
@@ -90,8 +95,9 @@ altbench:
 # Short fuzz pass over the Erlang-B / Equation-15 invariants, the lazily
 # seeded random source's bit-identity with math/rand, the shared
 # admission kernel against the interpreted policies, the calendar
-# departure queue against a stable sort, and the pruned Erlang bound
-# against exhaustive cut evaluation (CI smoke; the
+# departure queue against a stable sort, the pruned Erlang bound against
+# exhaustive cut evaluation, and the route-table builders against the
+# per-pair reference (CI smoke; the
 # checked-in corpora under internal/*/testdata/fuzz always run in plain
 # `go test`).
 fuzz-smoke:
@@ -101,6 +107,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDecideMatchesRoute -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDepartureQueueMatchesReference -fuzztime 10s
 	$(GO) test ./internal/bound/ -run '^$$' -fuzz FuzzErlangBoundMatchesExhaustive -fuzztime 10s
+	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzBuildMinHopMatchesReference -fuzztime 10s
 
 # Run every example end to end with reduced horizons (the CI examples
 # smoke job). Output goes to /dev/null; a non-zero exit is the signal.

@@ -42,7 +42,7 @@
 //	verify        fast self-check of the headline reproduction claims
 //	report        markdown reproduction report to stdout
 //	bound         Erlang bound values for both paper networks
-//	all           run everything above with the paper's settings
+//	all           the reproduction run behind experiments_full_output.txt
 //
 // Common flags: -seeds, -warmup, -horizon, -loads, -H, -parallel.
 // The -parallel flag caps the worker goroutines of every parallel stage
@@ -197,13 +197,7 @@ func main() {
 	case "hvariants":
 		fmt.Print(experiments.RenderHVariants(must(experiments.HVariants(loads, p))))
 	case "capacity":
-		g := netmodel.NSFNet()
-		nominal, _, err := traffic.NSFNetNominal()
-		if err != nil {
-			fatal(err)
-		}
-		res := must(experiments.CapacityHeadroom(g, nominal, pick(*hFlag, 11), 0.01, p))
-		fmt.Print(experiments.RenderCapacity(0.01, res))
+		printCapacity(pick(*hFlag, 11), p)
 	case "insensitivity":
 		fmt.Print(experiments.RenderInsensitivity(must(experiments.Insensitivity(pick(*hFlag, 11), p))))
 	case "retrials":
@@ -321,6 +315,19 @@ func runAll(p experiments.SimParams) {
 	fmt.Print(experiments.RenderInsensitivity(must(experiments.Insensitivity(11, p))))
 	fmt.Println()
 	printBounds()
+	fmt.Println()
+	printCapacity(11, p)
+}
+
+// printCapacity prints the NSFNet capacity headroom at a 1% grade of
+// service under hop limit h.
+func printCapacity(h int, p experiments.SimParams) {
+	nominal, _, err := traffic.NSFNetNominal()
+	if err != nil {
+		fatal(err)
+	}
+	res := must(experiments.CapacityHeadroom(netmodel.NSFNet(), nominal, h, 0.01, p))
+	fmt.Print(experiments.RenderCapacity(0.01, res))
 }
 
 func printBounds() {

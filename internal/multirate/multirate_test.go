@@ -315,6 +315,52 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUntrustedCalls replaces one call of a valid trace with a
+// bad one: Run must return an error, never panic, carry the call or let it
+// drive occupancy below zero.
+func TestRunRejectsUntrustedCalls(t *testing.T) {
+	g, tbl, classes := quadSetup(t, 5, 1)
+	tr, err := GenerateTrace(classes, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(tr.Calls) / 2
+	for _, c := range []struct {
+		name string
+		edit func(*Call)
+	}{
+		{"negative class", func(c *Call) { c.Class = -1 }},
+		{"origin off the graph", func(c *Call) { c.Origin = -1 }},
+		{"destination off the graph", func(c *Call) { c.Dest = 9 }},
+		{"NaN arrival", func(c *Call) { c.Arrival = math.NaN() }},
+		{"negative arrival", func(c *Call) { c.Arrival = -1 }},
+		{"NaN holding", func(c *Call) { c.Holding = math.NaN() }},
+		{"zero holding", func(c *Call) { c.Holding = 0 }},
+		{"infinite holding", func(c *Call) { c.Holding = math.Inf(1) }},
+		{"zero bandwidth", func(c *Call) { c.Bandwidth = 0 }},
+		{"negative bandwidth", func(c *Call) { c.Bandwidth = -3 }},
+	} {
+		calls := append([]Call(nil), tr.Calls...)
+		c.edit(&calls[k])
+		bad := &Trace{Calls: calls, Horizon: tr.Horizon, Seed: tr.Seed}
+		for _, d := range []Discipline{SinglePath, Uncontrolled} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s, %v: Run panicked: %v", c.name, d, r)
+					}
+				}()
+				if res, err := Run(Config{Graph: g, Table: tbl, Discipline: d, Trace: bad}); err == nil {
+					t.Errorf("%s, %v: Run accepted the call (offered bandwidth %d)", c.name, d, res.BandwidthOffered)
+				}
+			}()
+		}
+	}
+	if _, err := Run(Config{Graph: g, Table: tbl, Trace: tr}); err != nil {
+		t.Fatalf("valid trace: %v", err)
+	}
+}
+
 func TestLinkClassLoadsEquation1(t *testing.T) {
 	g, tbl, classes := quadSetup(t, 10, 2)
 	loads, err := LinkClassLoads(g, tbl, classes)

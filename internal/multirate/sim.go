@@ -35,6 +35,24 @@ type Call struct {
 	Bandwidth    int
 }
 
+// check applies sim.Call.Check — origin and destination are graph nodes,
+// the arrival finite and non-negative, the holding finite and positive —
+// and the multi-rate rules: a non-negative class index and a bandwidth of
+// at least one capacity unit. Run checks every call before it starts.
+func (c Call) check(numNodes int) error {
+	sc := sim.Call{ID: c.ID, Origin: c.Origin, Dest: c.Dest, Arrival: c.Arrival, Holding: c.Holding}
+	if err := sc.Check(numNodes); err != nil {
+		return fmt.Errorf("multirate: %w", err)
+	}
+	if c.Class < 0 {
+		return fmt.Errorf("multirate: call %d: class %d is negative", c.ID, c.Class)
+	}
+	if c.Bandwidth < 1 {
+		return fmt.Errorf("multirate: call %d: bandwidth %d is below one unit", c.ID, c.Bandwidth)
+	}
+	return nil
+}
+
 // Trace is the class-tagged arrival sequence.
 type Trace struct {
 	Calls   []Call
@@ -284,6 +302,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	nClasses := 0
 	for _, c := range cfg.Trace.Calls {
+		if err := c.check(cfg.Graph.NumNodes()); err != nil {
+			return nil, err
+		}
 		if c.Class+1 > nClasses {
 			nClasses = c.Class + 1
 		}

@@ -106,13 +106,13 @@ func MinLossPrimaries(g *graph.Graph, m *traffic.Matrix, opts Options) (*Result,
 	flows := make(map[[2]graph.NodeID]map[string]*flowEntry)
 
 	// Initialize: everything on the min-hop path.
-	toDst := paths.AllDistancesTo(g)
+	trees := paths.AllTrees(g)
 	for i := graph.NodeID(0); int(i) < n; i++ {
 		for j := graph.NodeID(0); int(j) < n; j++ {
 			if i == j || m.Demand(i, j) == 0 {
 				continue
 			}
-			p, ok := paths.MinHopWith(g, i, j, toDst[j])
+			p, ok := trees[j].Path(i)
 			if !ok {
 				return nil, fmt.Errorf("optimize: no path %d→%d", i, j)
 			}

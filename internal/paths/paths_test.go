@@ -133,7 +133,7 @@ func TestAllLoopFreeSortedAndUnique(t *testing.T) {
 	all := AllLoopFree(g, 0, 5, 0)
 	seen := map[string]bool{}
 	for i, p := range all {
-		if i > 0 && less(p, all[i-1]) {
+		if i > 0 && compare(p, all[i-1]) < 0 {
 			t.Errorf("paths out of order at %d: %s before %s", i, all[i-1], p)
 		}
 		if seen[p.String()] {

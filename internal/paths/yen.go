@@ -25,7 +25,7 @@ func KShortest(g *graph.Graph, src, dst graph.NodeID, k, maxHops int) []Path {
 	if maxHops <= 0 || maxHops > n-1 {
 		maxHops = n - 1
 	}
-	first, ok := shortestAvoiding(g, src, dst, nil, nil)
+	first, ok := TreeTo(g, dst).Path(src)
 	if !ok || first.Hops() > maxHops {
 		return nil
 	}
@@ -55,7 +55,7 @@ func KShortest(g *graph.Graph, src, dst graph.NodeID, k, maxHops int) []Path {
 				bannedNodes[nd] = true
 			}
 
-			spur, ok := shortestAvoiding(g, spurNode, dst, bannedNodes, bannedLinks)
+			spur, ok := shortestAvoiding(g, spurNode, dst, &ban{nodes: bannedNodes, links: bannedLinks})
 			if !ok {
 				continue
 			}
@@ -92,69 +92,31 @@ func samePrefix(nodes, prefix []graph.NodeID) bool {
 	return true
 }
 
-// shortestAvoiding is a BFS shortest path from src to dst that may not enter
-// bannedNodes nor traverse bannedLinks, with lexicographic tie-breaking
-// (consistent with MinHop). Either ban set may be nil.
-func shortestAvoiding(g *graph.Graph, src, dst graph.NodeID, bannedNodes map[graph.NodeID]bool, bannedLinks map[graph.LinkID]bool) (Path, bool) {
-	n := g.NumNodes()
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	// Reverse BFS from dst so the forward greedy walk can pick the
-	// lexicographically smallest shortest path.
-	dist[dst] = 0
-	queue := []graph.NodeID{dst}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, id := range g.In(v) {
-			l := g.Link(id)
-			if l.Down || bannedLinks[id] || bannedNodes[l.From] {
-				continue
-			}
-			if dist[l.From] < 0 {
-				dist[l.From] = dist[v] + 1
-				queue = append(queue, l.From)
-			}
-		}
-	}
-	if bannedNodes[src] || dist[src] < 0 {
+// ban excludes links, and every link leaving a node, from a spur search.
+type ban struct {
+	nodes map[graph.NodeID]bool
+	links map[graph.LinkID]bool
+}
+
+// shortestAvoiding is the min-hop path from src to dst, by MinHop's
+// next-hop rule, that traverses no banned link and enters no banned node:
+// a banned node other than dst gets no distance, since its out-links are
+// banned, so no next hop leads into it.
+func shortestAvoiding(g *graph.Graph, src, dst graph.NodeID, b *ban) (Path, bool) {
+	if b.nodes[src] {
 		return Path{}, false
 	}
-	nodes := []graph.NodeID{src}
-	links := []graph.LinkID{}
-	cur := src
-	for cur != dst {
-		next := graph.InvalidNode
-		var via graph.LinkID
-		for _, id := range g.Out(cur) {
-			l := g.Link(id)
-			if l.Down || bannedLinks[id] || bannedNodes[l.To] {
-				continue
-			}
-			if dist[l.To] == dist[cur]-1 {
-				if next == graph.InvalidNode || l.To < next {
-					next = l.To
-					via = id
-				}
-			}
-		}
-		if next == graph.InvalidNode {
-			return Path{}, false
-		}
-		nodes = append(nodes, next)
-		links = append(links, via)
-		cur = next
-	}
-	return Path{Nodes: nodes, Links: links}, true
+	n := g.NumNodes()
+	t := Tree{Dist: make([]int, n), next: make([]graph.LinkID, n), links: g.LinkView()}
+	t.fill(g, dst, make([]graph.NodeID, 0, n), b)
+	return t.Path(src)
 }
 
 // candidateHeap orders candidate paths by (length, lexicographic).
 type candidateHeap []Path
 
 func (h candidateHeap) Len() int            { return len(h) }
-func (h candidateHeap) Less(i, j int) bool  { return less(h[i], h[j]) }
+func (h candidateHeap) Less(i, j int) bool  { return compare(h[i], h[j]) < 0 }
 func (h candidateHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *candidateHeap) Push(x interface{}) { *h = append(*h, x.(Path)) }
 func (h *candidateHeap) Pop() interface{} {

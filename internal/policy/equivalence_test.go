@@ -3,10 +3,12 @@ package policy
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/netmodel"
 	"repro/internal/paths"
 	"repro/internal/traffic"
 	"repro/internal/xrand"
@@ -65,9 +67,128 @@ func reachable(g *graph.Graph, src, dst graph.NodeID) bool {
 	return seen[dst]
 }
 
+// The reference route machinery below is the per-pair code the builders
+// replaced, kept here verbatim in behaviour so that the equivalence tests
+// do not compare the paths package with itself: a reverse BFS per
+// destination, the greedy min-hop walk, and the recursive loop-free DFS
+// with its (length, lexicographic) sort.
+
+// refDistancesTo is the hop distance from every node to dst over up links
+// (−1 where dst is unreachable).
+func refDistancesTo(g *graph.Graph, dst graph.NodeID) []int {
+	dist := make([]int, g.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[dst] = 0
+	queue := []graph.NodeID{dst}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, id := range g.In(v) {
+			l := g.Link(id)
+			if !l.Down && dist[l.From] < 0 {
+				dist[l.From] = dist[v] + 1
+				queue = append(queue, l.From)
+			}
+		}
+	}
+	return dist
+}
+
+// refMinHop walks forward greedily from src: from each node it takes the
+// smallest-ID neighbour one hop closer to dst.
+func refMinHop(g *graph.Graph, src, dst graph.NodeID) (paths.Path, bool) {
+	if src == dst {
+		return paths.Path{Nodes: []graph.NodeID{src}}, true
+	}
+	toDst := refDistancesTo(g, dst)
+	if toDst[src] < 0 {
+		return paths.Path{}, false
+	}
+	nodes := make([]graph.NodeID, 1, toDst[src]+1)
+	nodes[0] = src
+	links := make([]graph.LinkID, 0, toDst[src])
+	for cur := src; cur != dst; {
+		next := graph.InvalidNode
+		var via graph.LinkID
+		for _, id := range g.Out(cur) {
+			l := g.Link(id)
+			if !l.Down && toDst[l.To] == toDst[cur]-1 && (next == graph.InvalidNode || l.To < next) {
+				next, via = l.To, id
+			}
+		}
+		if next == graph.InvalidNode {
+			return paths.Path{}, false
+		}
+		nodes = append(nodes, next)
+		links = append(links, via)
+		cur = next
+	}
+	return paths.Path{Nodes: nodes, Links: links}, true
+}
+
+// refAllLoopFree enumerates every loop-free path src→dst of at most maxHops
+// hops (0 means N−1) by a recursive DFS pruned by the hop distances, then
+// sorts by (length, lexicographic node sequence).
+func refAllLoopFree(g *graph.Graph, src, dst graph.NodeID, maxHops int) []paths.Path {
+	n := g.NumNodes()
+	if src == dst {
+		return nil
+	}
+	if maxHops <= 0 || maxHops > n-1 {
+		maxHops = n - 1
+	}
+	toDst := refDistancesTo(g, dst)
+	var out []paths.Path
+	onPath := make([]bool, n)
+	nodes := []graph.NodeID{src}
+	links := []graph.LinkID{}
+	onPath[src] = true
+	var dfs func(v graph.NodeID)
+	dfs = func(v graph.NodeID) {
+		if v == dst {
+			out = append(out, paths.Path{
+				Nodes: append([]graph.NodeID(nil), nodes...),
+				Links: append([]graph.LinkID(nil), links...),
+			})
+			return
+		}
+		if len(links) >= maxHops {
+			return
+		}
+		for _, id := range g.Out(v) {
+			l := g.Link(id)
+			if l.Down || onPath[l.To] || toDst[l.To] < 0 || len(links)+1+toDst[l.To] > maxHops {
+				continue
+			}
+			onPath[l.To] = true
+			nodes = append(nodes, l.To)
+			links = append(links, id)
+			dfs(l.To)
+			onPath[l.To] = false
+			nodes = nodes[:len(nodes)-1]
+			links = links[:len(links)-1]
+		}
+	}
+	dfs(src)
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Hops() != out[b].Hops() {
+			return out[a].Hops() < out[b].Hops()
+		}
+		for k := range out[a].Nodes {
+			if out[a].Nodes[k] != out[b].Nodes[k] {
+				return out[a].Nodes[k] < out[b].Nodes[k]
+			}
+		}
+		return false
+	})
+	return out
+}
+
 // referenceMinHopK is the per-pair route-table loop: for every ordered pair a
-// forward BFS reachability test, then paths.MinHop and paths.Alternates, each
-// with its own reverse BFS. BuildMinHopK must reproduce it exactly.
+// forward BFS reachability test, then the greedy walk and the alternates —
+// every loop-free path but the primary, nil when the DFS finds none —
+// capped at maxAlternates. BuildMinHopK must reproduce it exactly.
 func referenceMinHopK(g *graph.Graph, maxAltHops, maxAlternates int) (*Table, error) {
 	n := g.NumNodes()
 	if maxAltHops <= 0 || maxAltHops > n-1 {
@@ -82,11 +203,17 @@ func referenceMinHopK(g *graph.Graph, maxAltHops, maxAlternates int) (*Table, er
 			if !reachable(g, i, j) {
 				return nil, fmt.Errorf("policy: no path %d→%d", i, j)
 			}
-			primary, ok := paths.MinHop(g, i, j)
+			primary, ok := refMinHop(g, i, j)
 			if !ok {
 				return nil, fmt.Errorf("policy: no path %d→%d", i, j)
 			}
-			alts := paths.Alternates(g, i, j, primary, maxAltHops)
+			all := refAllLoopFree(g, i, j, maxAltHops)
+			alts := all[:0]
+			for _, p := range all {
+				if !p.Equal(primary) {
+					alts = append(alts, p)
+				}
+			}
 			if maxAlternates > 0 && len(alts) > maxAlternates {
 				alts = alts[:maxAlternates]
 			}
@@ -99,8 +226,9 @@ func referenceMinHopK(g *graph.Graph, maxAltHops, maxAlternates int) (*Table, er
 	return t, nil
 }
 
-// referenceBifurcated is BuildBifurcated's per-pair loop: every loop-free path
-// from a per-pair paths.AllLoopFree, minus the pair's primaries.
+// referenceBifurcated is BuildBifurcated's per-pair loop: every loop-free
+// path from a per-pair DFS, minus the pair's primaries (nil when none is
+// left).
 func referenceBifurcated(g *graph.Graph, primaries map[[2]graph.NodeID][]WeightedPath, maxAltHops int) []*RouteSet {
 	n := g.NumNodes()
 	sets := make([]*RouteSet, n*n)
@@ -112,7 +240,7 @@ func referenceBifurcated(g *graph.Graph, primaries map[[2]graph.NodeID][]Weighte
 			prim := primaries[[2]graph.NodeID{i, j}]
 			var alts []paths.Path
 		next:
-			for _, p := range paths.AllLoopFree(g, i, j, maxAltHops) {
+			for _, p := range refAllLoopFree(g, i, j, maxAltHops) {
 				for _, wp := range prim {
 					if p.Equal(wp.Path) {
 						continue next
@@ -150,74 +278,132 @@ func splitPrimaries(ref *Table) map[[2]graph.NodeID][]WeightedPath {
 	return prim
 }
 
-// TestBuildersMatchPerPairReference checks the shared-distance builders
-// against the per-pair reference on random topologies with failed links:
-// identical route sets when every pair is routable, and the same first
-// unroutable pair and error text when one is not.
+// checkBuilders compares BuildMinHopK (and, uncapped, BuildBifurcated over
+// split primaries) with the per-pair reference at one (H, K): identical
+// route sets when every pair is routable, the same first unroutable pair
+// and error text when one is not. It reports whether g was routable.
+func checkBuilders(t *testing.T, name string, g *graph.Graph, h, maxAlt int) bool {
+	t.Helper()
+	want, wantErr := referenceMinHopK(g, h, maxAlt)
+	got, err := BuildMinHopK(g, h, maxAlt)
+	if wantErr != nil {
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%s H=%d K=%d: error %v, want %v", name, h, maxAlt, err, wantErr)
+		}
+		return false
+	}
+	if err != nil {
+		t.Fatalf("%s H=%d K=%d: %v", name, h, maxAlt, err)
+	}
+	if got.MaxAltHops != want.MaxAltHops || !reflect.DeepEqual(got.sets, want.sets) {
+		t.Fatalf("%s H=%d K=%d: BuildMinHopK differs from the per-pair reference", name, h, maxAlt)
+	}
+	if maxAlt == 0 {
+		prim := splitPrimaries(want)
+		bif, err := BuildBifurcated(g, prim, h, 7)
+		if err != nil {
+			t.Fatalf("%s H=%d: BuildBifurcated: %v", name, h, err)
+		}
+		if !reflect.DeepEqual(bif.sets, referenceBifurcated(g, prim, h)) {
+			t.Fatalf("%s H=%d: BuildBifurcated differs from the per-pair reference", name, h)
+		}
+	}
+	return true
+}
+
+// checkMinHopRouting compares traffic.MinHopRouting and paths.MinHop with
+// the reference walk on every ordered pair.
+func checkMinHopRouting(t *testing.T, name string, g *graph.Graph) {
+	t.Helper()
+	n := g.NumNodes()
+	_, wantErr := referenceMinHopK(g, 0, 0)
+	pr, err := traffic.MinHopRouting(g)
+	if wantErr != nil {
+		want := strings.Replace(wantErr.Error(), "policy:", "traffic:", 1)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: MinHopRouting error %v, want %s", name, err, want)
+		}
+	} else if err != nil {
+		t.Fatalf("%s: MinHopRouting: %v", name, err)
+	}
+	for i := graph.NodeID(0); int(i) < n; i++ {
+		for j := graph.NodeID(0); int(j) < n; j++ {
+			want, wantOK := refMinHop(g, i, j)
+			got, ok := paths.MinHop(g, i, j)
+			if ok != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %d→%d: MinHop %s (%v), reference %s (%v)", name, i, j, got, ok, want, wantOK)
+			}
+			if i == j || wantErr != nil {
+				continue
+			}
+			if got, _ := pr.Path(i, j); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %d→%d: MinHopRouting %s, reference %s", name, i, j, got, want)
+			}
+		}
+	}
+}
+
+// TestBuildersMatchPerPairReference checks the builders against the
+// per-pair reference on random topologies with failed links, some of them
+// disconnected.
 func TestBuildersMatchPerPairReference(t *testing.T) {
 	connected, disconnected := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		n := 4 + int(seed%6) // 4..9 nodes
 		g := randomDuplexGraph(t, n, n, int(seed%4), seed)
+		name := fmt.Sprintf("seed %d", seed)
 		for _, h := range []int{0, 1, 2, 3, n - 1} {
 			for _, maxAlt := range []int{0, 4} {
-				want, wantErr := referenceMinHopK(g, h, maxAlt)
-				got, err := BuildMinHopK(g, h, maxAlt)
-				if wantErr != nil {
+				if checkBuilders(t, name, g, h, maxAlt) {
+					connected++
+				} else {
 					disconnected++
-					if err == nil || err.Error() != wantErr.Error() {
-						t.Fatalf("seed %d H=%d K=%d: error %v, want %v", seed, h, maxAlt, err, wantErr)
-					}
-					continue
-				}
-				connected++
-				if err != nil {
-					t.Fatalf("seed %d H=%d K=%d: %v", seed, h, maxAlt, err)
-				}
-				if got.MaxAltHops != want.MaxAltHops || !reflect.DeepEqual(got.sets, want.sets) {
-					t.Fatalf("seed %d H=%d K=%d: BuildMinHopK differs from the per-pair reference", seed, h, maxAlt)
-				}
-				if maxAlt != 0 {
-					continue
-				}
-				prim := splitPrimaries(want)
-				bif, err := BuildBifurcated(g, prim, h, 7)
-				if err != nil {
-					t.Fatalf("seed %d H=%d: BuildBifurcated: %v", seed, h, err)
-				}
-				if !reflect.DeepEqual(bif.sets, referenceBifurcated(g, prim, h)) {
-					t.Fatalf("seed %d H=%d: BuildBifurcated differs from the per-pair reference", seed, h)
 				}
 			}
 		}
-		_, wantErr := referenceMinHopK(g, 0, 0)
-		pr, err := traffic.MinHopRouting(g)
-		if wantErr != nil {
-			want := strings.Replace(wantErr.Error(), "policy:", "traffic:", 1)
-			if err == nil || err.Error() != want {
-				t.Fatalf("seed %d: MinHopRouting error %v, want %s", seed, err, want)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("seed %d: MinHopRouting: %v", seed, err)
-		}
-		for i := graph.NodeID(0); int(i) < n; i++ {
-			for j := graph.NodeID(0); int(j) < n; j++ {
-				if i == j {
-					continue
-				}
-				got, _ := pr.Path(i, j)
-				want, _ := paths.MinHop(g, i, j)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d %d→%d: MinHopRouting %s, MinHop %s", seed, i, j, got, want)
-				}
-			}
-		}
+		checkMinHopRouting(t, name, g)
 	}
 	if connected == 0 || disconnected == 0 {
 		t.Fatalf("grid covers %d routable and %d unroutable builds; want both", connected, disconnected)
 	}
+}
+
+// TestBuildersMatchReferenceOnNamedTopologies runs the same comparison on
+// the topologies the experiments build tables for: a 15-node metro and
+// NSFNet, at H = 1, 2 and the paper's 11, uncapped and with K caps.
+func TestBuildersMatchReferenceOnNamedTopologies(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"metro15", netmodel.Metro(5, 3, 10, 20)},
+		{"nsfnet", netmodel.NSFNet()},
+	} {
+		for _, h := range []int{1, 2, 11} {
+			for _, maxAlt := range []int{0, 1, 3} {
+				if !checkBuilders(t, c.name, c.g, h, maxAlt) {
+					t.Fatalf("%s is not routable", c.name)
+				}
+			}
+		}
+		checkMinHopRouting(t, c.name, c.g)
+	}
+}
+
+// FuzzBuildMinHopMatchesReference draws the graph (seed, node count, extra
+// edges, failed links) and the table's H and K, and compares the builders
+// with the per-pair reference.
+func FuzzBuildMinHopMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(6), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(9), uint8(12), uint8(3), uint8(2), uint8(2))
+	f.Add(int64(3), uint8(5), uint8(0), uint8(1), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nodes, extra, down, h, maxAlt uint8) {
+		n := 2 + int(nodes)%9 // 2..10 nodes
+		g := randomDuplexGraph(t, n, int(extra)%(2*n+1), int(down)%(n+1), seed)
+		name := fmt.Sprintf("seed %d n=%d", seed, n)
+		checkBuilders(t, name, g, int(h)%(n+1), int(maxAlt)%5)
+		checkMinHopRouting(t, name, g)
+	})
 }
 
 // TestBuildMinHopFirstUnroutablePair pins the origin-major error order on a

@@ -77,25 +77,48 @@ func BuildMinHopK(g *graph.Graph, maxAltHops, maxAlternates int) (*Table, error)
 	if maxAltHops <= 0 || maxAltHops > n-1 {
 		maxAltHops = n - 1
 	}
+	trees := paths.AllTrees(g)
+	// One pass sizes the slabs and finds the first unroutable pair, in
+	// origin-major order.
+	hops := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			h := trees[j].Dist[i]
+			if h < 0 {
+				return nil, fmt.Errorf("policy: no path %d→%d", i, j)
+			}
+			hops += h
+		}
+	}
+	// Every primary, its RouteSet and its Primaries entry are carved out of
+	// table-wide slabs; the three-index slices keep an append from running
+	// into a neighbour.
+	pairs := n * (n - 1)
+	nodes := make([]graph.NodeID, hops+pairs)
+	links := make([]graph.LinkID, hops)
+	prims := make([]WeightedPath, pairs)
+	sets := make([]RouteSet, pairs)
 	t := &Table{g: g, MaxAltHops: maxAltHops, n: n, sets: make([]*RouteSet, n*n)}
-	toDst := paths.AllDistancesTo(g)
+	lf := paths.NewLoopFree(g, maxAltHops)
+	k := 0
 	for i := graph.NodeID(0); int(i) < n; i++ {
 		for j := graph.NodeID(0); int(j) < n; j++ {
 			if i == j {
 				continue
 			}
-			primary, ok := paths.MinHopWith(g, i, j, toDst[j])
-			if !ok {
-				return nil, fmt.Errorf("policy: no path %d→%d", i, j)
+			h := trees[j].Dist[i]
+			primary := trees[j].PathInto(i, nodes[:h+1:h+1], links[:h:h])
+			nodes, links = nodes[h+1:], links[h:]
+			prims[k] = WeightedPath{Path: primary, Weight: 1}
+			sets[k] = RouteSet{
+				Primaries:  prims[k : k+1 : k+1],
+				Alternates: lf.Paths(i, j, trees[j].Dist, primary.Equal, maxAlternates),
 			}
-			alts := paths.AlternatesWith(g, i, j, primary, maxAltHops, toDst[j])
-			if maxAlternates > 0 && len(alts) > maxAlternates {
-				alts = alts[:maxAlternates]
-			}
-			t.sets[int(i)*n+int(j)] = &RouteSet{
-				Primaries:  []WeightedPath{{Path: primary, Weight: 1}},
-				Alternates: alts,
-			}
+			t.sets[int(i)*n+int(j)] = &sets[k]
+			k++
 		}
 	}
 	return t, nil
@@ -112,7 +135,8 @@ func BuildBifurcated(g *graph.Graph, primaries map[[2]graph.NodeID][]WeightedPat
 		maxAltHops = n - 1
 	}
 	t := &Table{g: g, MaxAltHops: maxAltHops, n: n, sets: make([]*RouteSet, n*n), selectorSeed: selectorSeed}
-	toDst := paths.AllDistancesTo(g)
+	trees := paths.AllTrees(g)
+	lf := paths.NewLoopFree(g, maxAltHops)
 	for i := graph.NodeID(0); int(i) < n; i++ {
 		for j := graph.NodeID(0); int(j) < n; j++ {
 			if i == j {
@@ -136,16 +160,16 @@ func BuildBifurcated(g *graph.Graph, primaries map[[2]graph.NodeID][]WeightedPat
 			if total < 1-1e-9 || total > 1+1e-9 {
 				return nil, fmt.Errorf("policy: weights for %d→%d sum to %v", i, j, total)
 			}
-			all := paths.AllLoopFreeWith(g, i, j, maxAltHops, toDst[j])
-			var alts []paths.Path
-		next:
-			for _, p := range all {
+			alts := lf.Paths(i, j, trees[j].Dist, func(p paths.Path) bool {
 				for _, wp := range prim {
 					if p.Equal(wp.Path) {
-						continue next
+						return true
 					}
 				}
-				alts = append(alts, p)
+				return false
+			}, 0)
+			if len(alts) == 0 {
+				alts = nil
 			}
 			t.sets[int(i)*n+int(j)] = &RouteSet{Primaries: prim, Alternates: alts}
 		}

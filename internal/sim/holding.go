@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/traffic"
 	"repro/internal/xrand"
@@ -60,7 +59,7 @@ func (h HoldingDist) CV2() float64 {
 }
 
 // draw samples one unit-mean holding time.
-func (h HoldingDist) draw(r *rand.Rand) float64 {
+func (h HoldingDist) draw(r *xrand.Gen) float64 {
 	switch h {
 	case HoldingDeterministic:
 		return 1
@@ -69,13 +68,13 @@ func (h HoldingDist) draw(r *rand.Rand) float64 {
 		// p chosen for CV²=4: p = (1 − sqrt(3/5))/2.
 		p := (1 - math.Sqrt(3.0/5.0)) / 2
 		if r.Float64() < p {
-			return xrand.Exp(r, 1/(2*p))
+			return r.Exp(1 / (2 * p))
 		}
-		return xrand.Exp(r, 1/(2*(1-p)))
+		return r.Exp(1 / (2 * (1 - p)))
 	case HoldingErlang2:
-		return (xrand.Exp(r, 0.5) + xrand.Exp(r, 0.5))
+		return (r.Exp(0.5) + r.Exp(0.5))
 	default:
-		return xrand.Exp(r, 1)
+		return r.Exp(1)
 	}
 }
 

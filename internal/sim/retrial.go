@@ -111,7 +111,7 @@ func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 		heap.Push(events, e)
 	}
 	for _, c := range cfg.Trace.Calls {
-		if err := c.check(cfg.Graph.NumNodes()); err != nil {
+		if err := c.Check(cfg.Graph.NumNodes()); err != nil {
 			return nil, err
 		}
 		if c.Arrival >= horizon {

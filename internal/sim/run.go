@@ -574,7 +574,7 @@ func (l *loop) blocked(c Call, pairIdx int, measured bool, win *WindowStats, blo
 // to its epoch (guarded by the nextDep/nextPlan scalars). Every plan group
 // triggers a recompile (a TopologyHook may have swapped tables): a failure
 // moves the run onto Policy.Route, a later success moves it back. A call
-// that fails Call.check stops the run with its error.
+// that fails Call.Check stops the run with its error.
 //
 //altlint:hotpath
 func (l *loop) run(th *routetable.Thresholds, compiled bool) error {
@@ -601,7 +601,7 @@ func (l *loop) run(th *routetable.Thresholds, compiled bool) error {
 				return nil
 			}
 		}
-		if err := c.check(l.numNodes); err != nil {
+		if err := c.Check(l.numNodes); err != nil {
 			return err
 		}
 		if c.Arrival >= l.horizon {

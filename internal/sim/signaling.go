@@ -129,7 +129,7 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 	}
 	for i := range cfg.Trace.Calls {
 		c := cfg.Trace.Calls[i]
-		if err := c.check(cfg.Graph.NumNodes()); err != nil {
+		if err := c.Check(cfg.Graph.NumNodes()); err != nil {
 			return nil, err
 		}
 		if c.Arrival >= horizon {

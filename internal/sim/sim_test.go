@@ -648,14 +648,14 @@ func TestRunWindowedRampShowsTrend(t *testing.T) {
 }
 
 func TestHoldingDistributions(t *testing.T) {
-	r := xrand.New(99)
+	r := xrand.NewGen(99)
 	const n = 200000
 	for _, dist := range []HoldingDist{
 		HoldingExponential, HoldingDeterministic, HoldingHyperexp, HoldingErlang2,
 	} {
 		var sum, sumsq float64
 		for i := 0; i < n; i++ {
-			v := dist.draw(r)
+			v := dist.draw(&r)
 			if v <= 0 {
 				t.Fatalf("%v drew %v", dist, v)
 			}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/traffic"
@@ -31,12 +30,9 @@ type pairStream struct {
 	next         float64
 	rate         float64
 	origin, dest graph.NodeID
-	// ar draws inter-arrival times; hr, when non-nil, draws holding times
-	// from an independent substream (the selectable-distribution layout of
-	// GenerateTraceHolding). When hr is nil holdings come from ar, exactly
-	// reproducing GenerateTrace's single-stream draw order.
-	ar, hr *rand.Rand
-	dist   HoldingDist
+	// ar draws inter-arrival times, and holding times too unless the
+	// stream is dual (see Stream.holds).
+	ar xrand.Gen
 }
 
 // Stream merges every O-D pair's Poisson process lazily: it keeps one
@@ -54,6 +50,12 @@ type Stream struct {
 	horizon float64
 	seed    int64
 	emitted int // next call ID
+	// holds, on a dual stream, draws pairs[k]'s holding times from dist on
+	// an independent substream: the selectable-distribution layout of
+	// GenerateTraceHolding. It is nil otherwise, and holdings come from
+	// ar, exactly reproducing GenerateTrace's single-stream draw order.
+	holds []xrand.Gen
+	dist  HoldingDist
 }
 
 // NewStream returns the streaming equivalent of GenerateTrace(m, horizon,
@@ -73,8 +75,27 @@ func newStream(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist,
 	if math.IsNaN(horizon) || math.IsInf(horizon, 0) || horizon <= 0 {
 		return nil, fmt.Errorf("sim: horizon %v must be positive and finite", horizon)
 	}
+	// The pairs and heap slices are allocated once, at the count of pairs
+	// with positive demand; each pair holds its generators by value.
 	n := m.Size()
-	s := &Stream{horizon: horizon, seed: seed}
+	live := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j && m.Demand(graph.NodeID(i), graph.NodeID(j)) > 0 {
+				live++
+			}
+		}
+	}
+	s := &Stream{
+		pairs:   make([]pairStream, 0, live),
+		heap:    make([]int32, 0, live),
+		horizon: horizon,
+		seed:    seed,
+		dist:    dist,
+	}
+	if dual {
+		s.holds = make([]xrand.Gen, 0, live)
+	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {
@@ -88,19 +109,20 @@ func newStream(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist,
 				rate:   rate,
 				origin: graph.NodeID(i),
 				dest:   graph.NodeID(j),
-				dist:   dist,
 			}
 			if dual {
-				ps.ar = xrand.New(seed, int64(i), int64(j), 1)
-				ps.hr = xrand.New(seed, int64(i), int64(j), 2)
+				ps.ar = xrand.NewGen(seed, int64(i), int64(j), 1)
 			} else {
-				ps.ar = xrand.New(seed, int64(i), int64(j))
+				ps.ar = xrand.NewGen(seed, int64(i), int64(j))
 			}
 			// The first inter-arrival draw happens eagerly, exactly as the
 			// materializing generator's loop does before its horizon check.
-			ps.next = xrand.Exp(ps.ar, 1/rate)
+			ps.next = ps.ar.Exp(1 / rate)
 			if ps.next >= horizon {
 				continue
+			}
+			if dual {
+				s.holds = append(s.holds, xrand.NewGen(seed, int64(i), int64(j), 2))
 			}
 			s.pairs = append(s.pairs, ps)
 			s.heapPush(int32(len(s.pairs) - 1))
@@ -114,7 +136,8 @@ func (s *Stream) Next() (Call, bool) {
 	if len(s.heap) == 0 {
 		return Call{}, false
 	}
-	p := &s.pairs[s.heap[0]]
+	k := s.heap[0]
+	p := &s.pairs[k]
 	c := Call{
 		ID:      s.emitted,
 		Origin:  p.origin,
@@ -125,12 +148,12 @@ func (s *Stream) Next() (Call, bool) {
 	// Draw order per pair matches the materializing generators: the holding
 	// time of the emitted call, then the increment to the pair's next
 	// arrival.
-	if p.hr != nil {
-		c.Holding = p.dist.draw(p.hr)
+	if s.holds != nil {
+		c.Holding = s.dist.draw(&s.holds[k])
 	} else {
-		c.Holding = xrand.Exp(p.ar, 1)
+		c.Holding = p.ar.Exp(1)
 	}
-	p.next += xrand.Exp(p.ar, 1/p.rate)
+	p.next += p.ar.Exp(1 / p.rate)
 	if p.next >= s.horizon {
 		// Pair exhausted: remove it from the merge heap.
 		last := len(s.heap) - 1

@@ -27,14 +27,14 @@ type Call struct {
 	Arrival, Holding float64
 }
 
-// check is the one validity rule for a call an engine reads from an
+// Check is the one validity rule for a call an engine reads from an
 // in-memory Trace or Source, the rule ReadTrace applies to trace files:
 // origin and destination are nodes of the graph, the arrival is finite and
 // non-negative, the holding finite and positive. The comparisons are
-// written so that NaN fails them. Run, RunWithRetrials and RunSignaling
-// check every call they read; an unchecked NaN or infinite epoch would
-// silently reorder the departure queue.
-func (c Call) check(numNodes int) error {
+// written so that NaN fails them. Run, RunWithRetrials, RunSignaling and
+// multirate.Run check every call they read; an unchecked NaN or infinite
+// epoch would silently reorder the departure queue.
+func (c Call) Check(numNodes int) error {
 	if uint(c.Origin) >= uint(numNodes) || uint(c.Dest) >= uint(numNodes) {
 		return fmt.Errorf("sim: call %d: %d→%d is not a pair of the graph's %d nodes", c.ID, c.Origin, c.Dest, numNodes)
 	}

@@ -137,13 +137,13 @@ type PrimaryRouting struct {
 func MinHopRouting(g *graph.Graph) (*PrimaryRouting, error) {
 	n := g.NumNodes()
 	pr := &PrimaryRouting{n: n, route: make(map[[2]graph.NodeID]paths.Path, n*(n-1))}
-	toDst := paths.AllDistancesTo(g)
+	trees := paths.AllTrees(g)
 	for i := graph.NodeID(0); int(i) < n; i++ {
 		for j := graph.NodeID(0); int(j) < n; j++ {
 			if i == j {
 				continue
 			}
-			p, ok := paths.MinHopWith(g, i, j, toDst[j])
+			p, ok := trees[j].Path(i)
 			if !ok {
 				return nil, fmt.Errorf("traffic: no path %d→%d", i, j)
 			}

@@ -82,8 +82,30 @@ func TestNewMatchesStdlibSeeding(t *testing.T) {
 	}
 }
 
+// TestGenMatchesStdlib checks the value generator against rand.New over
+// math/rand's source for the mixed seed, across every exact seed and past
+// the register build, for both draws a pair stream makes.
+func TestGenMatchesStdlib(t *testing.T) {
+	for _, seed := range exactSeeds() {
+		for _, exp := range []bool{false, true} {
+			gen, std := NewGen(seed, 11), rand.New(rand.NewSource(int64(Mix(seed, 11))))
+			for n := 1; n <= exactDraws; n++ {
+				g, w := gen.Float64(), std.Float64()
+				if exp {
+					g, w = gen.Exp(2.5), Exp(std, 2.5)
+				}
+				if g != w {
+					t.Fatalf("seed %d exp=%v draw %d: got %v, want %v", seed, exp, n, g, w)
+				}
+			}
+		}
+	}
+}
+
 // FuzzSourceMatchesStdlib compares the first draws of the lazily seeded
-// source with math/rand's for arbitrary seeds.
+// source with math/rand's for arbitrary seeds, and the draws of the value
+// generator NewGen with rand.New over math/rand's source for the mixed seed
+// (Float64 and Exp alternating, as a pair stream draws them).
 func FuzzSourceMatchesStdlib(f *testing.F) {
 	f.Add(int64(0), uint16(rngTap+1))
 	f.Add(int64(math.MinInt64), uint16(2*rngLen))
@@ -93,6 +115,16 @@ func FuzzSourceMatchesStdlib(f *testing.F) {
 		for n := 1; n <= int(draws); n++ {
 			if g, w := got.Uint64(), want.Uint64(); g != w {
 				t.Fatalf("seed %d draw %d: got %#x, want %#x", seed, n, g, w)
+			}
+		}
+		gen, std := NewGen(seed, int64(draws)), rand.New(rand.NewSource(int64(Mix(seed, int64(draws)))))
+		for n := 1; n <= int(draws); n++ {
+			g, w := gen.Float64(), std.Float64()
+			if n%2 == 0 {
+				g, w = gen.Exp(0.37), Exp(std, 0.37)
+			}
+			if g != w {
+				t.Fatalf("NewGen(%d, %d) draw %d: got %v, want %v", seed, draws, n, g, w)
 			}
 		}
 	})

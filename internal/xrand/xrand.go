@@ -40,11 +40,49 @@ func Mix(seed int64, keys ...int64) uint64 {
 	return h
 }
 
-// New returns a rand.Rand seeded from the mixed (seed, keys...) tuple. Its
-// draws are bit-identical to rand.New(rand.NewSource(int64(Mix(seed,
-// keys...)))); only the seeding is lazy.
+// Gen is a lazily seeded generator held by value, for callers that keep
+// many streams and draw only uniforms and exponentials from them: an O-D
+// pair's arrival stream embeds one instead of pointing at a rand.Rand. Its
+// Float64 and Exp draws are bit-identical to those of rand.New over the
+// same source, and *Gen is that source (a rand.Source64).
+type Gen struct{ source }
+
+// NewGen returns the generator for the mixed (seed, keys...) tuple: New's
+// stream, held by value.
+func NewGen(seed int64, keys ...int64) Gen {
+	return Gen{*newSource(int64(Mix(seed, keys...)))}
+}
+
+// New returns a rand.Rand over NewGen(seed, keys...). Its draws are
+// bit-identical to rand.New(rand.NewSource(int64(Mix(seed, keys...))));
+// only the seeding is lazy.
 func New(seed int64, keys ...int64) *rand.Rand {
-	return rand.New(newSource(int64(Mix(seed, keys...))))
+	g := NewGen(seed, keys...)
+	return rand.New(&g)
+}
+
+// Float64 returns a float64 in [0,1) exactly as rand.Rand.Float64 does.
+//
+//altlint:float-ok f == 1 is rand.Rand.Float64's resample test, copied so the draws stay bit-identical
+func (g *Gen) Float64() float64 {
+again:
+	f := float64(g.Int63()) / (1 << 63)
+	if f == 1 {
+		goto again // resample; this branch is taken O(never)
+	}
+	return f
+}
+
+// Exp draws an exponential variate with the given mean exactly as Exp
+// does from a rand.Rand over the same source. It is written out rather
+// than calling Exp through an interface, which would move every Gen that
+// draws to the heap.
+func (g *Gen) Exp(mean float64) float64 {
+	u := g.Float64()
+	for u == 0 {
+		u = g.Float64()
+	}
+	return -mean * math.Log(u)
 }
 
 // Exp draws an exponential variate with the given mean from r, guarding
