@@ -66,7 +66,7 @@ bench:
 bench-smoke:
 	{ $(GO) test -run '^$$' -bench BenchmarkRunCalls -benchmem -benchtime 0.3s -count 3 . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkBuildMinHop/metro200-H2$$' -benchmem -benchtime 0.3s -count 3 ./internal/policy/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkNewStream/metro200$$' -benchmem -benchtime 0.3s -count 3 ./internal/sim/; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkNewStream/(metro200|nsfnet-drain)$$' -benchmem -benchtime 0.3s -count 3 ./internal/sim/; } \
 	| $(GO) run ./cmd/benchguard -ledger BENCH.json
 
 # CPU+heap profile of the hot path via BenchmarkRunCalls (replay = event
@@ -95,7 +95,8 @@ altbench:
 # Short fuzz pass over the Erlang-B / Equation-15 invariants, the lazily
 # seeded random source's bit-identity with math/rand, the shared
 # admission kernel against the interpreted policies, the calendar
-# departure queue against a stable sort, the pruned Erlang bound against
+# departure queue against a stable sort, the slab-batched arrival stream
+# against the heap merge it replaced, the pruned Erlang bound against
 # exhaustive cut evaluation, and the route-table builders against the
 # per-pair reference (CI smoke; the
 # checked-in corpora under internal/*/testdata/fuzz always run in plain
@@ -106,6 +107,7 @@ fuzz-smoke:
 	$(GO) test ./internal/xrand/ -run '^$$' -fuzz FuzzSourceMatchesStdlib -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDecideMatchesRoute -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDepartureQueueMatchesReference -fuzztime 10s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzStreamMatchesReference -fuzztime 10s
 	$(GO) test ./internal/bound/ -run '^$$' -fuzz FuzzErlangBoundMatchesExhaustive -fuzztime 10s
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzBuildMinHopMatchesReference -fuzztime 10s
 

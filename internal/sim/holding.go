@@ -86,7 +86,7 @@ func (h HoldingDist) draw(r *xrand.Gen) float64 {
 // this function for every variant.
 //
 // Like GenerateTrace, this is a drain of the streaming generator
-// (NewStreamHolding); the merge heap's (epoch, origin, dest) total order
+// (NewStreamHolding); the stream's (epoch, origin, dest) total order
 // makes regenerated traces reproducible byte-for-byte, ties included.
 func GenerateTraceHolding(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist) (*Trace, error) {
 	s, err := NewStreamHolding(m, horizon, seed, dist)

@@ -23,39 +23,85 @@ type ArrivalSource interface {
 	Seed() int64
 }
 
-// pairStream is one O-D pair's pending Poisson arrival.
+// pairStream is one O-D pair's Poisson arrival process.
 type pairStream struct {
-	// next is the pair's next arrival epoch (always < horizon while the
-	// pair is on the merge heap).
-	next         float64
-	rate         float64
-	origin, dest graph.NodeID
+	// next is the pair's first arrival not yet drawn into a slab (always
+	// < horizon while the pair is pending).
+	next float64
+	rate float64
+	// od is origin·n + dest for the matrix's n nodes: one word that orders
+	// pairs as (origin, dest) does and keeps the pair at 64 bytes.
+	od uint32
+	// link is the next pending pair on the same slab list, −1 ending it.
+	link int32
 	// ar draws inter-arrival times, and holding times too unless the
 	// stream is dual (see Stream.holds).
 	ar xrand.Gen
 }
 
-// Stream merges every O-D pair's Poisson process lazily: it keeps one
-// pending arrival per pair on an indexed min-heap and draws further
-// variates only as calls are consumed. Memory is O(pairs) instead of the
-// O(calls) of a materialized Trace, while the emitted call sequence —
-// epochs, holding times, IDs, and tie order — is byte-for-byte the sequence
-// GenerateTrace (or GenerateTraceHolding) would produce for the same
-// arguments, because each pair consumes its substream in the same order and
-// the heap breaks equal-epoch ties by the same (origin, dest) order the
-// trace sort uses.
+// slabCall is one buffered arrival of the current slab. key is
+// origin<<32 | dest, which orders pairs as their (origin, dest) index does.
+type slabCall struct {
+	t, hold float64
+	key     uint64
+}
+
+// before is the one arrival order: epoch, then pair. Epochs are never
+// negative, so their bit patterns order as the values do.
+func before(a, b *slabCall) bool {
+	ta, tb := math.Float64bits(a.t), math.Float64bits(b.t)
+	return ta < tb || ta == tb && a.key < b.key
+}
+
+// fineBits is log2 of the arrivals a slab expects — its width is the
+// power of two nearest 2^fineBits/Λ = 2048/Λ for total rate Λ, so its
+// buffers stay in cache — and of the fine buckets it is counting-sorted
+// on, about one per call.
+const fineBits = 11
+
+// Stream merges every O-D pair's Poisson process lazily, one time slab at
+// a time. Time is cut into slabs of width Δ = 2^-k. Each pending pair sits
+// on the list of the slab holding its next arrival, in a ring of list
+// heads (a pair whose slab lies a lap or more ahead stays linked and is
+// skipped until its lap comes round). Filling slab s draws, for each due
+// pair, every arrival in [s·Δ, min((s+1)·Δ, horizon)) in the pair's own
+// draw order — the holding time, then the next increment — and relinks or
+// retires the pair. The slab is then ordered by a stable counting sort on
+// the fine index ⌊t·2^(k+fineBits)⌋ and an insertion pass on (epoch,
+// pair).
+//
+// Each pair consumes its substream in the same order whatever the
+// batching, and (epoch, origin, dest) is a total order over distinct
+// arrivals, with a pair's equal epochs (an increment can round to +0) kept
+// in draw order by the sorts' stability. So the emitted call sequence —
+// epochs, holding times, IDs and tie order — is byte-for-byte the
+// sequence GenerateTrace (or GenerateTraceHolding) produces for the same
+// arguments. Memory is O(pairs + slab) instead of the O(calls) of a
+// materialized Trace.
 type Stream struct {
 	pairs   []pairStream
-	heap    []int32 // indices into pairs, min-ordered by (next, origin, dest)
+	n       uint32 // node count of the matrix (decodes pairStream.od)
 	horizon float64
 	seed    int64
-	emitted int // next call ID
+	rate    float64 // Λ, the total rate of the pairs with positive demand
+	live    int     // pending pairs
+	emitted int     // next call ID
 	// holds, on a dual stream, draws pairs[k]'s holding times from dist on
 	// an independent substream: the selectable-distribution layout of
 	// GenerateTraceHolding. It is nil otherwise, and holdings come from
 	// ar, exactly reproducing GenerateTrace's single-stream draw order.
 	holds []xrand.Gen
 	dist  HoldingDist
+
+	// Slab geometry: scale = 2^k slabs per unit time, width = Δ = 2^-k,
+	// fine = 2^(k+fineBits) fine buckets per unit time.
+	scale, width, fine float64
+	heads              []int32 // ring of slab lists, −1 when empty
+	mask               int64   // len(heads) − 1
+	cur                int64   // next slab to fill; no pending arrival lies before it
+	counts             []int32 // per fine bucket of the slab being sorted
+	in, out            []slabCall
+	pos                int // next call of out to emit
 }
 
 // NewStream returns the streaming equivalent of GenerateTrace(m, horizon,
@@ -70,27 +116,48 @@ func NewStreamHolding(m *traffic.Matrix, horizon float64, seed int64, dist Holdi
 	return newStream(m, horizon, seed, dist, true)
 }
 
-func newStream(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist, dual bool) (*Stream, error) {
-	// A NaN or infinite horizon would never exhaust the stream.
-	if math.IsNaN(horizon) || math.IsInf(horizon, 0) || horizon <= 0 {
-		return nil, fmt.Errorf("sim: horizon %v must be positive and finite", horizon)
+// checkHorizon is the generators' one horizon rule: positive and finite.
+// A NaN or infinite horizon would never exhaust a pair.
+func checkHorizon(horizon float64) error {
+	if !(horizon > 0 && horizon <= math.MaxFloat64) {
+		return fmt.Errorf("sim: horizon %v must be positive and finite", horizon)
 	}
-	// The pairs and heap slices are allocated once, at the count of pairs
-	// with positive demand; each pair holds its generators by value.
+	return nil
+}
+
+func newStream(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist, dual bool) (*Stream, error) {
+	if err := checkHorizon(horizon); err != nil {
+		return nil, err
+	}
+	// The pairs slice is allocated once, at the count of pairs with
+	// positive demand; each pair holds its generators by value. Every
+	// demand is finite (traffic.Matrix refuses any other), but their sum
+	// can overflow, and the slab width derives from it.
 	n := m.Size()
-	live := 0
+	if n > 1<<16 {
+		return nil, fmt.Errorf("sim: %d nodes: a stream encodes each pair in 32 bits, so at most %d", n, 1<<16)
+	}
+	live, total := 0, 0.0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i != j && m.Demand(graph.NodeID(i), graph.NodeID(j)) > 0 {
+			if i == j {
+				continue
+			}
+			if d := m.Demand(graph.NodeID(i), graph.NodeID(j)); d > 0 {
 				live++
+				total += d
 			}
 		}
 	}
+	if math.IsInf(total, 0) {
+		return nil, fmt.Errorf("sim: total demand %v is not finite", total)
+	}
 	s := &Stream{
 		pairs:   make([]pairStream, 0, live),
-		heap:    make([]int32, 0, live),
+		n:       uint32(n),
 		horizon: horizon,
 		seed:    seed,
+		rate:    total,
 		dist:    dist,
 	}
 	if dual {
@@ -105,11 +172,7 @@ func newStream(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist,
 			if rate <= 0 {
 				continue
 			}
-			ps := pairStream{
-				rate:   rate,
-				origin: graph.NodeID(i),
-				dest:   graph.NodeID(j),
-			}
+			ps := pairStream{rate: rate, od: uint32(i*n + j)}
 			if dual {
 				ps.ar = xrand.NewGen(seed, int64(i), int64(j), 1)
 			} else {
@@ -125,47 +188,182 @@ func newStream(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist,
 				s.holds = append(s.holds, xrand.NewGen(seed, int64(i), int64(j), 2))
 			}
 			s.pairs = append(s.pairs, ps)
-			s.heapPush(int32(len(s.pairs) - 1))
 		}
 	}
+	// Δ is the power of two nearest 2^fineBits/Λ. With Λ = f·2^e, f in
+	// [½, 1), 2^fineBits/Λ = (1/f)·2^(fineBits−e) with 1/f in (1, 2], and
+	// the lower power is nearer when 1/f < 3/2.
+	f, e := math.Frexp(total)
+	k := e - fineBits
+	if f <= 2.0/3 {
+		k--
+	}
+	s.setSlabs(k)
 	return s, nil
 }
 
+// setSlabs sets the slab width to 2^-k, clamped to the range below, sizes
+// the slab buffers, and links every pair onto its slab list. It runs
+// before the first fill, while every pair is pending.
+//
+// With horizon < 2^eh: k ≤ 53 − eh − fineBits keeps every fine index
+// t·2^(k+fineBits) below 2^53, so it, the slab index and each slab end
+// (s+1)·Δ are exact in float64 (the rule of departureQueue.init); k ≥ −eh
+// stops the width at one slab for the whole horizon; and the bounds at
+// ±1022 keep 2^k, 2^-k and 2^(k+fineBits) finite and normal.
+func (s *Stream) setSlabs(k int) {
+	_, eh := math.Frexp(s.horizon)
+	k = min(max(k, -eh, -1022), 53-eh-fineBits, 1022-fineBits)
+	s.scale, s.width, s.fine = math.Ldexp(1, k), math.Ldexp(1, -k), math.Ldexp(1, k+fineBits)
+
+	// The ring has a head per pair, or per slab of the horizon when there
+	// are fewer slabs, rounded up to a power of two. The heads and the fine
+	// counts share one allocation, as do the two call buffers, which hold
+	// the expected slab count plus four standard deviations; a fuller slab
+	// falls back to append. The count is capped for a width clamped far
+	// above 2^fineBits/Λ, which only a stream of more than 2^57 expected
+	// calls reaches.
+	nb := 1
+	for nb < len(s.pairs) && float64(nb) < s.horizon*s.scale {
+		nb *= 2
+	}
+	ints := make([]int32, nb+1<<fineBits)
+	s.heads, s.counts = ints[:nb:nb], ints[nb:]
+	s.mask = int64(nb - 1)
+	for b := range s.heads {
+		s.heads[b] = -1
+	}
+	mean := min(s.rate*min(s.width, s.horizon), 1<<16)
+	c := int(mean + 4*math.Sqrt(mean) + 16)
+	calls := make([]slabCall, 2*c)
+	s.in, s.out, s.pos = calls[:0:c], calls[c:c:2*c], 0
+
+	s.live, s.cur = len(s.pairs), 0
+	for i := range s.pairs {
+		s.link(int32(i))
+	}
+}
+
+// slab is the index of the slab holding epoch t (t < horizon).
+func (s *Stream) slab(t float64) int64 { return int64(t * s.scale) }
+
+// link pushes pairs[i] onto the list of the slab holding its next arrival.
+func (s *Stream) link(i int32) {
+	h := &s.heads[s.slab(s.pairs[i].next)&s.mask]
+	s.pairs[i].link = *h
+	*h = i
+}
+
 // Next implements ArrivalSource.
+//
+//altlint:hotpath
 func (s *Stream) Next() (Call, bool) {
-	if len(s.heap) == 0 {
+	if s.pos == len(s.out) && !s.fill() {
 		return Call{}, false
 	}
-	k := s.heap[0]
-	p := &s.pairs[k]
+	b := &s.out[s.pos]
+	s.pos++
 	c := Call{
 		ID:      s.emitted,
-		Origin:  p.origin,
-		Dest:    p.dest,
-		Arrival: p.next,
+		Origin:  graph.NodeID(b.key >> 32),
+		Dest:    graph.NodeID(uint32(b.key)),
+		Arrival: b.t,
+		Holding: b.hold,
 	}
 	s.emitted++
-	// Draw order per pair matches the materializing generators: the holding
-	// time of the emitted call, then the increment to the pair's next
-	// arrival.
-	if s.holds != nil {
-		c.Holding = s.dist.draw(&s.holds[k])
-	} else {
-		c.Holding = p.ar.Exp(1)
-	}
-	p.next += p.ar.Exp(1 / p.rate)
-	if p.next >= s.horizon {
-		// Pair exhausted: remove it from the merge heap.
-		last := len(s.heap) - 1
-		s.heap[0] = s.heap[last]
-		s.heap = s.heap[:last]
-		if last > 0 {
-			s.heapDown(0)
-		}
-	} else {
-		s.heapDown(0)
-	}
 	return c, true
+}
+
+// fill draws and orders the next slab holding any arrival into out; it
+// reports false once every pair has retired. Empty slabs are stepped over
+// one at a time: at the natural width a slab expects 2^fineBits calls, so
+// they are rare.
+//
+//altlint:hotpath
+func (s *Stream) fill() bool {
+	for s.live > 0 {
+		slab := s.cur
+		s.cur++
+		end := min(float64(slab+1)*s.width, s.horizon)
+		in := s.in[:0]
+		h := &s.heads[slab&s.mask]
+		i := *h
+		*h = -1
+		for i >= 0 {
+			p := &s.pairs[i]
+			next := p.link
+			if s.slab(p.next) == slab {
+				// Draw order per pair matches the materializing generators:
+				// the holding time of each call, then the increment to the
+				// pair's next arrival.
+				key := uint64(p.od/s.n)<<32 | uint64(p.od%s.n)
+				mean := 1 / p.rate
+				for p.next < end {
+					var hold float64
+					if s.holds != nil {
+						hold = s.dist.draw(&s.holds[i])
+					} else {
+						hold = p.ar.Exp(1)
+					}
+					in = append(in, slabCall{t: p.next, hold: hold, key: key})
+					p.next += p.ar.Exp(mean)
+				}
+			}
+			if p.next < s.horizon {
+				s.link(i)
+			} else {
+				s.live--
+			}
+			i = next
+		}
+		s.in = in
+		if len(in) > 0 {
+			s.order(slab)
+			return true
+		}
+	}
+	return false
+}
+
+// order sorts slab's arrivals from in into out by (epoch, pair), keeping
+// a pair's equal epochs in draw order: a stable counting sort on the fine
+// index, then an insertion pass that only reorders calls sharing a fine
+// bucket.
+//
+//altlint:hotpath
+func (s *Stream) order(slab int64) {
+	in, counts := s.in, s.counts
+	base := slab << fineBits // fine index of the slab's start
+	for b := range in {
+		counts[int64(in[b].t*s.fine)-base]++
+	}
+	sum := int32(0)
+	for f, n := range counts {
+		counts[f] = sum
+		sum += n
+	}
+	if cap(s.out) < len(in) {
+		s.out = append(s.out[:0], in...) // a slab fuller than the headroom
+	}
+	out := s.out[:len(in)]
+	for b := range in {
+		f := int64(in[b].t*s.fine) - base
+		out[counts[f]] = in[b]
+		counts[f]++
+	}
+	clear(counts)
+	for b := 1; b < len(out); b++ {
+		if !before(&out[b], &out[b-1]) {
+			continue
+		}
+		c := out[b]
+		a := b
+		for ; a > 0 && before(&c, &out[a-1]); a-- {
+			out[a] = out[a-1]
+		}
+		out[a] = c
+	}
+	s.out, s.pos = out, 0
 }
 
 // Horizon implements ArrivalSource.
@@ -195,60 +393,16 @@ func (s *Stream) Materialize() *Trace {
 }
 
 // expectedCalls bounds the number of calls the stream has left to emit:
-// each pending pair emits its pending arrival plus a Poisson number with
-// mean rate·(horizon − next). The total has that mean and at most that
-// variance; the estimate adds 4·√mean + 16 of headroom.
+// the calls already ordered into out, plus, for each pending pair, its
+// next arrival and a Poisson number with mean rate·(horizon − next). The
+// pending total has that mean and at most that variance; the estimate
+// adds 4·√mean + 16 of headroom.
 func (s *Stream) expectedCalls() int {
 	mean := 0.0
-	for _, idx := range s.heap {
-		p := &s.pairs[idx]
-		mean += 1 + p.rate*(s.horizon-p.next)
-	}
-	return int(mean + 4*math.Sqrt(mean) + 16)
-}
-
-// streamLess orders pending arrivals by (epoch, origin, dest) — the same
-// total order the materializing generators sort by, so equal-epoch ties
-// across pairs resolve identically.
-func (s *Stream) streamLess(a, b int32) bool {
-	pa, pb := &s.pairs[a], &s.pairs[b]
-	if pa.next != pb.next {
-		return pa.next < pb.next
-	}
-	if pa.origin != pb.origin {
-		return pa.origin < pb.origin
-	}
-	return pa.dest < pb.dest
-}
-
-func (s *Stream) heapPush(idx int32) {
-	s.heap = append(s.heap, idx)
-	i := len(s.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.streamLess(s.heap[i], s.heap[parent]) {
-			break
+	for i := range s.pairs {
+		if p := &s.pairs[i]; p.next < s.horizon {
+			mean += 1 + p.rate*(s.horizon-p.next)
 		}
-		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
-		i = parent
 	}
-}
-
-func (s *Stream) heapDown(i int) {
-	n := len(s.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		small := left
-		if right := left + 1; right < n && s.streamLess(s.heap[right], s.heap[left]) {
-			small = right
-		}
-		if !s.streamLess(s.heap[small], s.heap[i]) {
-			break
-		}
-		s.heap[i], s.heap[small] = s.heap[small], s.heap[i]
-		i = small
-	}
+	return len(s.out) - s.pos + int(mean+4*math.Sqrt(mean)+16)
 }

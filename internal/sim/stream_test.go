@@ -24,15 +24,22 @@ func nsfnetMatrix(tb testing.TB) *traffic.Matrix {
 }
 
 // TestNewStreamRejectsNonFiniteHorizon: a NaN or infinite horizon never
-// exhausts a pair, so the stream would never end.
+// exhausts a pair, so the stream would never end; every generator shares
+// the one horizon rule.
 func TestNewStreamRejectsNonFiniteHorizon(t *testing.T) {
 	m := traffic.Uniform(4, 5)
+	// A zero profile keeps a varying trace empty whatever the horizon, so
+	// a missing horizon check shows as a nil error rather than a hang.
+	zero := func(float64) float64 { return 0 }
 	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
 		if _, err := NewStream(m, h, 1); err == nil {
 			t.Errorf("NewStream horizon %v: want error", h)
 		}
 		if _, err := GenerateTraceHolding(m, h, 1, HoldingErlang2); err == nil {
 			t.Errorf("GenerateTraceHolding horizon %v: want error", h)
+		}
+		if _, err := GenerateTraceVarying(m, zero, h, 1); err == nil {
+			t.Errorf("GenerateTraceVarying horizon %v: want error", h)
 		}
 	}
 }

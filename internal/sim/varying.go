@@ -54,8 +54,8 @@ func SineProfile(amplitude, period float64) RateProfile {
 // profile's maximum over [0, horizon). Holding times stay exp(1). Identical
 // (matrix, profile, seed) inputs reproduce the same trace.
 func GenerateTraceVarying(m *traffic.Matrix, profile RateProfile, horizon float64, seed int64) (*Trace, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("sim: horizon %v", horizon)
+	if err := checkHorizon(horizon); err != nil {
+		return nil, err
 	}
 	if profile == nil {
 		profile = ConstantProfile

@@ -37,16 +37,23 @@ func (m *Matrix) Demand(i, j graph.NodeID) float64 {
 	return m.d[int(i)*m.n+int(j)]
 }
 
-// SetDemand sets T(i,j). Setting the diagonal or a negative demand panics.
+// SetDemand sets T(i,j). Setting the diagonal or a negative or non-finite
+// demand panics.
 func (m *Matrix) SetDemand(i, j graph.NodeID, v float64) {
 	m.check(i, j)
 	if i == j {
 		panic(fmt.Errorf("traffic: diagonal demand %d→%d", i, j))
 	}
+	checkDemand(v)
+	m.d[int(i)*m.n+int(j)] = v
+}
+
+// checkDemand is the one rule for a stored demand: finite and
+// non-negative. A violation panics.
+func checkDemand(v float64) {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		panic(fmt.Errorf("traffic: invalid demand %v", v))
 	}
-	m.d[int(i)*m.n+int(j)] = v
 }
 
 func (m *Matrix) check(i, j graph.NodeID) {
@@ -65,7 +72,8 @@ func (m *Matrix) Total() float64 {
 }
 
 // Scaled returns a copy of the matrix with every entry multiplied by factor.
-// The paper's load sweeps scale the nominal matrix linearly (§4.2.2).
+// The paper's load sweeps scale the nominal matrix linearly (§4.2.2). A
+// product that overflows to infinity panics, by SetDemand's rule.
 func (m *Matrix) Scaled(factor float64) *Matrix {
 	if factor < 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		panic(fmt.Errorf("traffic: invalid scale factor %v", factor))
@@ -73,6 +81,7 @@ func (m *Matrix) Scaled(factor float64) *Matrix {
 	out := NewMatrix(m.n)
 	for i, v := range m.d {
 		out.d[i] = v * factor
+		checkDemand(out.d[i])
 	}
 	return out
 }

@@ -56,6 +56,14 @@ func TestMatrixPanics(t *testing.T) {
 	mustPanic("out of range", func() { m.Demand(0, 5) })
 	mustPanic("negative size", func() { NewMatrix(-1) })
 	mustPanic("bad scale", func() { m.Scaled(-2) })
+	// A finite demand times a finite factor can still overflow; the
+	// product must meet SetDemand's rule too.
+	big := NewMatrix(2)
+	big.SetDemand(0, 1, 1e200)
+	mustPanic("overflowing scale", func() { big.Scaled(1e200) })
+	if got := big.Scaled(1e100).Demand(0, 1); got != 1e300 {
+		t.Errorf("Scaled(1e100) Demand(0,1) = %v, want 1e300", got)
+	}
 }
 
 func TestUniform(t *testing.T) {
