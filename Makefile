@@ -61,11 +61,11 @@ bench:
 # cmd/benchguard against every BENCH.json record that carries a
 # max_regress budget; a budgeted record missing from the output fails too.
 # Short -benchtime keeps it cheap (and noisy, hence the generous budgets).
-# The set-up benchmarks are guarded on allocs/op only, which does not
-# depend on the host.
+# The set-up benchmarks are guarded on allocs/op, and the compiled metro
+# route table on B/op, neither of which depends on the host.
 bench-smoke:
 	{ $(GO) test -run '^$$' -bench BenchmarkRunCalls -benchmem -benchtime 0.3s -count 3 . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkBuildMinHop/metro200-H2$$' -benchmem -benchtime 0.3s -count 3 ./internal/policy/ && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkBuildMinHop/metro200-H2(-flat)?$$' -benchmem -benchtime 0.3s -count 3 ./internal/policy/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkNewStream/(metro200|nsfnet-drain)$$' -benchmem -benchtime 0.3s -count 3 ./internal/sim/; } \
 	| $(GO) run ./cmd/benchguard -ledger BENCH.json
 

@@ -13,11 +13,11 @@ import (
 )
 
 // NodeID identifies a node; nodes are dense integers 0..N−1.
-type NodeID int
+type NodeID int32
 
 // LinkID identifies a directed link; links are dense integers 0..L−1 in
 // insertion order.
-type LinkID int
+type LinkID int32
 
 // Invalid sentinels returned by lookups that find nothing.
 const (

@@ -24,6 +24,22 @@ func (t *Table) Flat() *routetable.Flat {
 
 func (t *Table) buildFlat() {
 	b := routetable.NewBuilder(t.n, t.g.NumLinks(), t.selectorSeed)
+	// Counting the rows and link ids first lets the builder allocate its
+	// slabs once, at their exact size.
+	rows, links := 0, 0
+	for _, rs := range t.sets {
+		if rs == nil {
+			continue
+		}
+		rows += len(rs.Primaries) + len(rs.Alternates)
+		for _, wp := range rs.Primaries {
+			links += len(wp.Path.Links)
+		}
+		for _, alt := range rs.Alternates {
+			links += len(alt.Links)
+		}
+	}
+	b.Reserve(rows, links)
 	for p := 0; p < t.n*t.n; p++ {
 		b.StartPair()
 		rs := t.sets[p]

@@ -97,15 +97,16 @@ type Builder struct {
 	altStart []int32
 	rowOff   []int32
 	links    []graph.LinkID
-	primCum  []float64
+	// primCum stays nil until some pair gets a second primary: only such
+	// pairs' rows are ever read, so single-primary tables never carry it.
+	primCum []float64
 
-	acc        float64 // running primary-weight sum of the open pair
-	open       bool
-	sawAlt     bool
-	bifurcated bool
-	prims      int // primaries of the open pair
-	pairs      int
-	invalid    bool
+	acc     float64 // running primary-weight sum of the open pair
+	open    bool
+	sawAlt  bool
+	prims   int // primaries of the open pair
+	pairs   int
+	invalid bool
 }
 
 // NewBuilder returns a builder for an numNodes-node topology whose link
@@ -117,6 +118,15 @@ func NewBuilder(numNodes, numLinks int, selectorSeed int64) *Builder {
 	b.altStart = make([]int32, 0, numNodes*numNodes)
 	b.rowOff = append(b.rowOff, 0)
 	return b
+}
+
+// Reserve sizes the builder for a table of rows route rows holding links
+// link ids in all, so a build that adds exactly that many allocates RowOff,
+// Links and (if needed) PrimCum once, at their final length. Call it before
+// the first row; a build that outgrows the reservation still completes.
+func (b *Builder) Reserve(rows, links int) {
+	b.rowOff = append(make([]int32, 0, rows+1), b.rowOff...)
+	b.links = append(make([]graph.LinkID, 0, links), b.links...)
 }
 
 // StartPair opens the next ordered pair in row-major order, closing the
@@ -155,7 +165,7 @@ func (b *Builder) appendRow(links []graph.LinkID) {
 	}
 	b.links = append(b.links, links...)
 	b.rowOff = append(b.rowOff, int32(len(b.links)))
-	for len(b.primCum) < b.rows() {
+	if b.primCum != nil {
 		b.primCum = append(b.primCum, 0)
 	}
 }
@@ -167,15 +177,21 @@ func (b *Builder) Primary(links []graph.LinkID, weight float64) {
 		b.invalid = true
 		return
 	}
+	prev := b.acc
 	b.acc += weight
 	b.appendRow(links)
 	if b.invalid {
 		return
 	}
-	b.primCum[b.rows()-1] = b.acc
 	b.prims++
-	if b.prims > 1 {
-		b.bifurcated = true
+	if b.prims == 2 && b.primCum == nil {
+		// The table's first bifurcated pair: the rows before it are never
+		// read, so they stay zero; the pair's first primary summed to prev.
+		b.primCum = make([]float64, b.rows(), cap(b.rowOff)-1)
+		b.primCum[b.rows()-2] = prev
+	}
+	if b.primCum != nil {
+		b.primCum[b.rows()-1] = b.acc
 	}
 }
 
@@ -199,17 +215,14 @@ func (b *Builder) Finish() *Flat {
 	if b.invalid || b.pairs != b.numNodes*b.numNodes {
 		return nil
 	}
-	f := &Flat{
+	return &Flat{
 		NumNodes:     b.numNodes,
 		NumLinks:     b.numLinks,
 		PairOff:      b.pairOff,
 		AltStart:     b.altStart,
 		RowOff:       b.rowOff,
 		Links:        b.links,
+		PrimCum:      b.primCum,
 		SelectorSeed: b.selectorSeed,
 	}
-	if b.bifurcated {
-		f.PrimCum = b.primCum
-	}
-	return f
 }

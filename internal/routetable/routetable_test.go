@@ -163,3 +163,44 @@ func TestBuilderEmptyTopology(t *testing.T) {
 		t.Fatalf("zero-node table has rows: %d pairs %d", f.NumRows(), len(f.PairOff))
 	}
 }
+
+// TestBuilderLatePrimCum covers a table whose first bifurcated pair follows
+// single-primary pairs and alternates: PrimCum is created at that pair, padded
+// to one entry per row, and holds the pair's exact left-to-right sums. A
+// reserved build comes out at its exact size.
+func TestBuilderLatePrimCum(t *testing.T) {
+	for _, reserve := range []bool{false, true} {
+		b := NewBuilder(2, 3, 0)
+		if reserve {
+			b.Reserve(6, 10)
+		}
+		b.StartPair() // 0→0: empty
+		b.StartPair() // 0→1: one primary, one alternate
+		b.Primary([]graph.LinkID{0}, 1)
+		b.Alternate([]graph.LinkID{1, 2})
+		b.StartPair() // 1→0: three primaries, one alternate
+		b.Primary([]graph.LinkID{1}, 0.1)
+		b.Primary([]graph.LinkID{2, 0}, 0.2)
+		b.Primary([]graph.LinkID{2}, 0.7)
+		b.Alternate([]graph.LinkID{0, 1, 2})
+		b.StartPair() // 1→1: empty
+		f := b.Finish()
+		if f == nil {
+			t.Fatal("Finish returned nil for a well-formed build")
+		}
+		if len(f.PrimCum) != f.NumRows() {
+			t.Fatalf("reserve=%v: len(PrimCum) = %d, want %d", reserve, len(f.PrimCum), f.NumRows())
+		}
+		acc := 0.0 // a run-time sum, not an exact constant expression
+		for i, w := range []float64{0.1, 0.2, 0.7} {
+			acc += w
+			if got := f.PrimCum[2+i]; math.Float64bits(got) != math.Float64bits(acc) {
+				t.Fatalf("reserve=%v: PrimCum[%d] = %v, want %v", reserve, 2+i, got, acc)
+			}
+		}
+		if reserve && (cap(f.Links) != len(f.Links) || cap(f.RowOff) != len(f.RowOff) || cap(f.PrimCum) != len(f.PrimCum)) {
+			t.Fatalf("reserved build has slack: Links %d/%d RowOff %d/%d PrimCum %d/%d",
+				len(f.Links), cap(f.Links), len(f.RowOff), cap(f.RowOff), len(f.PrimCum), cap(f.PrimCum))
+		}
+	}
+}

@@ -134,6 +134,10 @@ func (n *nodeRef) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &v); err != nil {
 		return err
 	}
+	// Range-check before narrowing: a conversion would wrap 2^32 to node 0.
+	if v < 0 || v > math.MaxInt32 {
+		return fmt.Errorf("node %d out of range", v)
+	}
 	n.id = graph.NodeID(v)
 	return nil
 }

@@ -404,6 +404,24 @@ func TestReadFailurePlanJSON(t *testing.T) {
 	}
 }
 
+// TestReadFailurePlanJSONRejectsWideNodeIDs: a numeric node id is range
+// checked before it narrows to a graph.NodeID, so ids that would wrap onto a
+// real node (2^32 → 0, 2^32+1 → 1) are refused rather than failing the
+// wrong link.
+func TestReadFailurePlanJSONRejectsWideNodeIDs(t *testing.T) {
+	g, _ := triangle(t, 2)
+	for _, id := range []string{"-1", "2147483648", "4294967296", "4294967297"} {
+		for _, doc := range []string{
+			`[{"t":1,"from":` + id + `,"to":1,"down":true}]`,
+			`[{"t":1,"from":0,"to":` + id + `,"down":true}]`,
+		} {
+			if plan, err := sim.ReadFailurePlanJSON(strings.NewReader(doc), g); err == nil {
+				t.Errorf("%s: accepted as %+v", doc, plan.Events)
+			}
+		}
+	}
+}
+
 // TestProtectionSliceShorterThanLinkSpace is the r[id] out-of-range
 // regression test: a scheme derived before the topology grew must degrade
 // to r=0 on the new links, not panic with index-out-of-range.

@@ -11,7 +11,6 @@ package sim_test
 // engine Run selects.
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -74,11 +73,18 @@ func TestCompiledEngineSelection(t *testing.T) {
 }
 
 // runPair executes the same configuration on both engines and requires
-// bit-identical Results and byte-identical JSONL event streams.
-func runPair(t *testing.T, label string, cfg sim.Config) {
+// bit-identical Results and byte-identical JSONL event streams. With gmp
+// > 0 both engines run at GOMAXPROCS gmp; the comparison then runs at the
+// caller's setting, so the two streams encode in parallel even when gmp is 1.
+func runPair(t *testing.T, label string, cfg sim.Config, gmp int) {
 	t.Helper()
 	if !sim.CompilesFor(cfg.Policy, cfg.Graph) {
 		t.Fatalf("%s: policy does not take the compiled path; the comparison is vacuous", label)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	if gmp > 0 {
+		runtime.GOMAXPROCS(gmp)
 	}
 	compSink := &recordSink{}
 	compCfg := cfg
@@ -95,34 +101,34 @@ func runPair(t *testing.T, label string, cfg sim.Config) {
 	if err != nil {
 		t.Fatalf("%s: interpreted: %v", label, err)
 	}
+	runtime.GOMAXPROCS(procs)
 	requireSameResult(t, label, got, want)
 	requireSameEvents(t, label, compSink.events, interpSink.events)
-	if g, w := jsonlBytes(t, compSink.events), jsonlBytes(t, interpSink.events); !bytes.Equal(g, w) {
-		t.Fatalf("%s: JSONL bytes diverge between engines", label)
-	}
+	requireSameJSONL(t, label, compSink.events, interpSink.events)
 }
 
 // TestGoldenCompiledVsInterpreted is the core fast-path guarantee over
 // the full grid: three topologies, the four compilable policies, five
 // seeds, replayed at GOMAXPROCS 1 and 8. The first seed of each scenario
-// also runs with windowed collection to cover the Windows series.
+// also runs with windowed collection to cover the Windows series. Each
+// scenario's policies and each seed's trace are built once and shared by
+// every run that replays them.
 func TestGoldenCompiledVsInterpreted(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, gmp := range []int{1, 8} {
-		runtime.GOMAXPROCS(gmp)
-		for _, sc := range goldenScenarios(t) {
-			for pname, pol := range compiledGoldenPolicies(t, sc) {
-				for si, seed := range goldenSeeds {
+	for _, sc := range goldenScenarios(t) {
+		policies := compiledGoldenPolicies(t, sc)
+		for si, seed := range goldenSeeds {
+			trace := sim.GenerateTrace(sc.m, sc.horizon, seed)
+			windowLen := 0.0
+			if si == 0 {
+				windowLen = 1.0
+			}
+			for pname, pol := range policies {
+				for _, gmp := range []int{1, 8} {
 					label := fmt.Sprintf("gomaxprocs=%d/%s/%s/seed=%d", gmp, sc.name, pname, seed)
-					windowLen := 0.0
-					if si == 0 {
-						windowLen = 1.0
-					}
 					runPair(t, label, sim.Config{
-						Graph: sc.g, Policy: pol,
-						Trace:  sim.GenerateTrace(sc.m, sc.horizon, seed),
+						Graph: sc.g, Policy: pol, Trace: trace,
 						Warmup: sc.warmup, WindowLength: windowLen,
-					})
+					}, gmp)
 				}
 			}
 		}
@@ -149,7 +155,7 @@ func TestGoldenCompiledShortProtection(t *testing.T) {
 				Graph: sc.g, Policy: short,
 				Trace:  sim.GenerateTrace(sc.m, sc.horizon, seed),
 				Warmup: sc.warmup,
-			})
+			}, 0)
 		}
 	}
 }
@@ -199,9 +205,7 @@ func TestGoldenCompiledStream(t *testing.T) {
 // the interpreted run of the same plan. The occupancy-event stream is on
 // so per-link samples around teardowns are compared too.
 func TestGoldenCompiledFailurePlan(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, gmp := range []int{1, 8} {
-		runtime.GOMAXPROCS(gmp)
 		for _, mode := range []sim.FailoverMode{sim.FailoverDrop, sim.FailoverReroute} {
 			for _, seed := range []int64{3, 4} {
 				label := fmt.Sprintf("gomaxprocs=%d/%s/seed=%d", gmp, mode, seed)
@@ -214,7 +218,7 @@ func TestGoldenCompiledFailurePlan(t *testing.T) {
 				if res.LostToFailure == 0 && res.FailureRerouted == 0 {
 					t.Fatalf("%s: no call was torn down or rerouted; scenario too quiet", label)
 				}
-				runPair(t, label, cfg)
+				runPair(t, label, cfg, gmp)
 			}
 		}
 	}
@@ -267,9 +271,7 @@ func TestGoldenCompiledAdaptive(t *testing.T) {
 
 		requireSameResult(t, label, got, want)
 		requireSameEvents(t, label, compSink.events, interpSink.events)
-		if g, w := jsonlBytes(t, compSink.events), jsonlBytes(t, interpSink.events); !bytes.Equal(g, w) {
-			t.Fatalf("%s: JSONL bytes diverge between engines", label)
-		}
+		requireSameJSONL(t, label, compSink.events, interpSink.events)
 	}
 }
 
@@ -349,8 +351,6 @@ func TestGoldenCompiledRecompileFails(t *testing.T) {
 
 		requireSameResult(t, label, got, want)
 		requireSameEvents(t, label, compSink.events, interpSink.events)
-		if g, w := jsonlBytes(t, compSink.events), jsonlBytes(t, interpSink.events); !bytes.Equal(g, w) {
-			t.Fatalf("%s: JSONL bytes diverge between engines", label)
-		}
+		requireSameJSONL(t, label, compSink.events, interpSink.events)
 	}
 }

@@ -32,51 +32,62 @@ import (
 // bit-identity against it proves an empty plan reproduces today's behaviour
 // exactly — for both the nil plan and the allocated-but-empty plan (which
 // exercises the plan-normalization path with zero events).
+//
+// The cases share each scenario's policies and each seed's trace, touch no
+// process-wide setting, and run as parallel subtests.
 func TestGoldenEmptyFailurePlanEquivalence(t *testing.T) {
 	for _, sc := range goldenScenarios(t) {
 		policies := goldenPolicies(t, sc)
-		for pname, pol := range policies {
-			for _, seed := range goldenSeeds[:3] {
+		for _, seed := range goldenSeeds[:3] {
+			trace := sim.GenerateTrace(sc.m, sc.horizon, seed)
+			for pname, pol := range policies {
 				label := fmt.Sprintf("%s/%s/seed=%d", sc.name, pname, seed)
-				trace := sim.GenerateTrace(sc.m, sc.horizon, seed)
 				base := sim.Config{
 					Graph: sc.g, Policy: pol, Trace: trace, Warmup: sc.warmup,
 				}
-
-				refSink := &recordSink{}
-				refCfg := base
-				refCfg.Sink = refSink
-				want, err := referenceRun(refCfg)
-				if err != nil {
-					t.Fatalf("%s: reference: %v", label, err)
-				}
-				wantJSONL := jsonlBytes(t, refSink.events)
-
-				for _, plan := range []*sim.FailurePlan{nil, {}} {
-					variant := "nil-plan"
-					if plan != nil {
-						variant = "empty-plan"
-					}
-					gotSink := &recordSink{}
-					cfg := base
-					cfg.Failures = plan
-					cfg.Failover = sim.FailoverReroute // must be inert without events
-					cfg.Sink = gotSink
-					got, err := sim.Run(cfg)
-					if err != nil {
-						t.Fatalf("%s/%s: run: %v", label, variant, err)
-					}
-					requireSameResult(t, label+"/"+variant, got, want)
-					if got.LostToFailure != 0 || got.FailureRerouted != 0 {
-						t.Fatalf("%s/%s: failure counters (%d,%d) on a failure-free run",
-							label, variant, got.LostToFailure, got.FailureRerouted)
-					}
-					requireSameEvents(t, label+"/"+variant, gotSink.events, refSink.events)
-					if gotJSONL := jsonlBytes(t, gotSink.events); !bytes.Equal(gotJSONL, wantJSONL) {
-						t.Fatalf("%s/%s: JSONL bytes diverge from reference stream", label, variant)
-					}
-				}
+				t.Run(label, func(t *testing.T) {
+					t.Parallel()
+					checkEmptyPlans(t, label, base)
+				})
 			}
+		}
+	}
+}
+
+// checkEmptyPlans runs base under a nil and an empty failure plan and
+// requires both to match the reference engine's run bit for bit.
+func checkEmptyPlans(t *testing.T, label string, base sim.Config) {
+	refSink := &recordSink{}
+	refCfg := base
+	refCfg.Sink = refSink
+	want, err := referenceRun(refCfg)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	wantJSONL := jsonlBytes(t, refSink.events)
+
+	for _, plan := range []*sim.FailurePlan{nil, {}} {
+		variant := "nil-plan"
+		if plan != nil {
+			variant = "empty-plan"
+		}
+		gotSink := &recordSink{}
+		cfg := base
+		cfg.Failures = plan
+		cfg.Failover = sim.FailoverReroute // must be inert without events
+		cfg.Sink = gotSink
+		got, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s/%s: run: %v", label, variant, err)
+		}
+		requireSameResult(t, label+"/"+variant, got, want)
+		if got.LostToFailure != 0 || got.FailureRerouted != 0 {
+			t.Fatalf("%s/%s: failure counters (%d,%d) on a failure-free run",
+				label, variant, got.LostToFailure, got.FailureRerouted)
+		}
+		requireSameEvents(t, label+"/"+variant, gotSink.events, refSink.events)
+		if gotJSONL := jsonlBytes(t, gotSink.events); !bytes.Equal(gotJSONL, wantJSONL) {
+			t.Fatalf("%s/%s: JSONL bytes diverge from reference stream", label, variant)
 		}
 	}
 }
@@ -186,24 +197,32 @@ func TestGoldenAvailabilityParallelEquivalence(t *testing.T) {
 		t.Fatal("availability baseline saw no link-down events; rates too low")
 	}
 
+	// Each GOMAXPROCS setting is a group whose Parallelism cases run as
+	// parallel subtests: the group returns only when they finish, so both
+	// run at its setting.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, gmp := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(gmp)
-		for _, par := range []int{0, 8} {
-			label := fmt.Sprintf("gomaxprocs=%d/parallel=%d", gmp, par)
-			pp := p
-			pp.Parallelism = par
-			sink := &recordSink{}
-			pp.Sink = sink
-			got, err := experiments.AvailabilitySweep("quadrangle", g, m, rates, 0, 0.5, sim.FailoverReroute, pp)
-			if err != nil {
-				t.Fatalf("%s: availability: %v", label, err)
+		t.Run(fmt.Sprintf("gomaxprocs=%d", gmp), func(t *testing.T) {
+			for _, par := range []int{0, 8} {
+				label := fmt.Sprintf("gomaxprocs=%d/parallel=%d", gmp, par)
+				t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
+					t.Parallel()
+					pp := p
+					pp.Parallelism = par
+					sink := &recordSink{}
+					pp.Sink = sink
+					got, err := experiments.AvailabilitySweep("quadrangle", g, m, rates, 0, 0.5, sim.FailoverReroute, pp)
+					if err != nil {
+						t.Fatalf("%s: availability: %v", label, err)
+					}
+					requireSameAvailability(t, label, got, want)
+					requireSameEvents(t, label+"/events", sink.events, seqSink.events)
+					if gotJSONL := jsonlBytes(t, sink.events); !bytes.Equal(gotJSONL, wantJSONL) {
+						t.Fatalf("%s: JSONL bytes diverge from sequential stream", label)
+					}
+				})
 			}
-			requireSameAvailability(t, label, got, want)
-			requireSameEvents(t, label+"/events", sink.events, seqSink.events)
-			if gotJSONL := jsonlBytes(t, sink.events); !bytes.Equal(gotJSONL, wantJSONL) {
-				t.Fatalf("%s: JSONL bytes diverge from sequential stream", label)
-			}
-		}
+		})
 	}
 }

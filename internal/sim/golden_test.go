@@ -801,15 +801,43 @@ func requireSameSweep(t *testing.T, label string, got, want *experiments.Sweep) 
 // jsonlBytes serializes an event stream the way `altsim -events` does.
 func jsonlBytes(t *testing.T, events []obs.Event) []byte {
 	t.Helper()
+	b, err := encodeJSONL(events)
+	if err != nil {
+		t.Fatalf("jsonl flush: %v", err)
+	}
+	return b
+}
+
+func encodeJSONL(events []obs.Event) ([]byte, error) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
 	for _, e := range events {
 		sink.Event(e)
 	}
-	if err := sink.Flush(); err != nil {
-		t.Fatalf("jsonl flush: %v", err)
+	err := sink.Flush()
+	return buf.Bytes(), err
+}
+
+// requireSameJSONL fails unless the two streams encode to the same JSONL
+// bytes. The streams are encoded concurrently: encoding is most of the
+// golden suites' time under -race, and the two encodings are independent.
+func requireSameJSONL(t *testing.T, label string, got, want []obs.Event) {
+	t.Helper()
+	var wantBytes []byte
+	var wantErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		wantBytes, wantErr = encodeJSONL(want)
+	}()
+	gotBytes, gotErr := encodeJSONL(got)
+	<-done
+	if gotErr != nil || wantErr != nil {
+		t.Fatalf("%s: jsonl flush: %v, %v", label, gotErr, wantErr)
 	}
-	return buf.Bytes()
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("%s: JSONL bytes diverge", label)
+	}
 }
 
 // TestGoldenParallelSweepEquivalence is the determinism contract of the
@@ -841,37 +869,49 @@ func TestGoldenParallelSweepEquivalence(t *testing.T) {
 	}
 	wantJSONL := jsonlBytes(t, seqSink.events)
 
+	// Each GOMAXPROCS setting is a group whose cases run as parallel
+	// subtests: the group returns only when they finish, so every case runs
+	// at its group's setting.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, gmp := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(gmp)
-		for _, par := range []int{0, 8} {
-			label := fmt.Sprintf("gomaxprocs=%d/parallel=%d", gmp, par)
+		t.Run(fmt.Sprintf("gomaxprocs=%d", gmp), func(t *testing.T) {
+			for _, par := range []int{0, 8} {
+				label := fmt.Sprintf("gomaxprocs=%d/parallel=%d", gmp, par)
 
-			// Instrumented quadrangle sweep: the sink must no longer force
-			// sequential execution, and the stream must match byte for byte.
-			pp := p
-			pp.Parallelism = par
-			sink := &recordSink{}
-			pp.Sink = sink
-			quadGot, err := experiments.Quadrangle(quadLoads, 0, pp)
-			if err != nil {
-				t.Fatalf("%s: quadrangle: %v", label, err)
-			}
-			requireSameSweep(t, label+"/quad", quadGot, quadWant)
-			requireSameEvents(t, label+"/quad-events", sink.events, seqSink.events)
-			if got := jsonlBytes(t, sink.events); !bytes.Equal(got, wantJSONL) {
-				t.Fatalf("%s: JSONL bytes diverge from sequential stream", label)
-			}
+				// Instrumented quadrangle sweep: the sink must no longer
+				// force sequential execution, and the stream must match byte
+				// for byte.
+				t.Run(fmt.Sprintf("parallel=%d/quad", par), func(t *testing.T) {
+					t.Parallel()
+					pp := p
+					pp.Parallelism = par
+					sink := &recordSink{}
+					pp.Sink = sink
+					quadGot, err := experiments.Quadrangle(quadLoads, 0, pp)
+					if err != nil {
+						t.Fatalf("%s: quadrangle: %v", label, err)
+					}
+					requireSameSweep(t, label+"/quad", quadGot, quadWant)
+					requireSameEvents(t, label+"/quad-events", sink.events, seqSink.events)
+					if got := jsonlBytes(t, sink.events); !bytes.Equal(got, wantJSONL) {
+						t.Fatalf("%s: JSONL bytes diverge from sequential stream", label)
+					}
+				})
 
-			// Uninstrumented NSFNet sweep (scheme derivation + seeds +
-			// Erlang bound per point fan out across load points).
-			np := p
-			np.Parallelism = par
-			nsfGot, err := experiments.NSFNetSweep(nsfLoads, 11, false, np)
-			if err != nil {
-				t.Fatalf("%s: nsfnet: %v", label, err)
+				// Uninstrumented NSFNet sweep (scheme derivation + seeds +
+				// Erlang bound per point fan out across load points).
+				t.Run(fmt.Sprintf("parallel=%d/nsfnet", par), func(t *testing.T) {
+					t.Parallel()
+					np := p
+					np.Parallelism = par
+					nsfGot, err := experiments.NSFNetSweep(nsfLoads, 11, false, np)
+					if err != nil {
+						t.Fatalf("%s: nsfnet: %v", label, err)
+					}
+					requireSameSweep(t, label+"/nsfnet", nsfGot, nsfWant)
+				})
 			}
-			requireSameSweep(t, label+"/nsfnet", nsfGot, nsfWant)
-		}
+		})
 	}
 }

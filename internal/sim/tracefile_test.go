@@ -137,3 +137,41 @@ func TestReadTraceRejectsUntrustedCalls(t *testing.T) {
 		t.Errorf("well-formed call refused: %v", err)
 	}
 }
+
+// TestReadTraceRejectsWideNodeIDs writes a trace whose calls carry int
+// node ids, as a writer with wider ids than graph.NodeID would: an origin of
+// 2^32+1 must be refused, not narrowed to node 1. The in-range control shows
+// the test-local layout decodes as a Trace.
+func TestReadTraceRejectsWideNodeIDs(t *testing.T) {
+	type wideCall struct {
+		ID               int
+		Origin, Dest     int
+		Arrival, Holding float64
+	}
+	type wideTrace struct {
+		Calls   []wideCall
+		Horizon float64
+		Seed    int64
+	}
+	encode := func(origin int) *bytes.Buffer {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		tr := wideTrace{Horizon: 10, Calls: []wideCall{{Origin: origin, Dest: 0, Arrival: 1, Holding: 1}}}
+		for _, v := range []any{traceFileMagic, traceFileVersion, tr} {
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return &buf
+	}
+	if tr, err := ReadTrace(encode(1<<32 + 1)); err == nil {
+		t.Fatalf("origin 2^32+1 accepted as %+v", tr.Calls[0])
+	}
+	tr, err := ReadTrace(encode(1))
+	if err != nil {
+		t.Fatalf("in-range wide trace refused: %v", err)
+	}
+	if c := tr.Calls[0]; c.Origin != 1 || c.Dest != 0 {
+		t.Fatalf("in-range wide trace decoded as %+v", c)
+	}
+}
