@@ -114,8 +114,9 @@ type (
 	Event = obs.Event
 	// EventKind discriminates Event payloads.
 	EventKind = obs.Kind
-	// EventSink consumes simulator events; implementations must be
-	// allocation-conscious (Event is passed by value).
+	// EventSink consumes simulator events. Event receives a pointer to the
+	// emitter's one reusable event, valid only for the duration of the
+	// call: a sink that keeps an event copies *e, and no sink modifies it.
 	EventSink = obs.Sink
 	// MetricsRegistry is an EventSink aggregating atomic counters and
 	// histograms, plus solver convergence traces, with JSON snapshots.

@@ -395,7 +395,7 @@ func BenchmarkEq15Search(b *testing.B) {
 // construction + interface dispatch), not of any consumer.
 type noopSink struct{}
 
-func (noopSink) Event(altroute.Event) {}
+func (noopSink) Event(*altroute.Event) {}
 
 func benchObsRun(b *testing.B, sink altroute.EventSink) {
 	g := altroute.Quadrangle()

@@ -226,7 +226,7 @@ func TestDaemonSmoke(t *testing.T) {
 // admitLog records which calls an offline sim.Run admitted.
 type admitLog map[int]bool
 
-func (a admitLog) Event(e obs.Event) {
+func (a admitLog) Event(e *obs.Event) {
 	if e.Kind == obs.KindCallAdmitted {
 		a[e.Call] = true
 	}

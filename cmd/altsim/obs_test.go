@@ -161,9 +161,9 @@ func TestObsSetupWindowed(t *testing.T) {
 // mounted /metrics endpoint and validates the exposition.
 func TestPublishLiveIdempotent(t *testing.T) {
 	regA := obs.NewRegistry()
-	obs.Emit(regA, obs.Event{Kind: obs.KindRunStart, Policy: "a", Seed: 1})
-	obs.Emit(regA, obs.Event{Kind: obs.KindCallOffered, Time: 1})
-	obs.Emit(regA, obs.Event{Kind: obs.KindRunEnd, Time: 2})
+	obs.Emit(regA, &obs.Event{Kind: obs.KindRunStart, Policy: "a", Seed: 1})
+	obs.Emit(regA, &obs.Event{Kind: obs.KindCallOffered, Time: 1})
+	obs.Emit(regA, &obs.Event{Kind: obs.KindRunEnd, Time: 2})
 
 	series, err := timeseries.New(timeseries.Options{Width: 1})
 	if err != nil {
@@ -174,7 +174,7 @@ func TestPublishLiveIdempotent(t *testing.T) {
 	// endpoints at the new registry.
 	regB := obs.NewRegistry()
 	for i := 0; i < 3; i++ {
-		obs.Emit(regB, obs.Event{Kind: obs.KindCallOffered, Time: float64(i), Measured: true})
+		obs.Emit(regB, &obs.Event{Kind: obs.KindCallOffered, Time: float64(i), Measured: true})
 	}
 	publishLive(regB, nil)
 

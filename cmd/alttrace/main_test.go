@@ -267,19 +267,19 @@ func TestRunDiff(t *testing.T) {
 func TestRunRegimes(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
-	obs.Emit(sink, obs.Event{Kind: obs.KindRunStart, Policy: "p", Seed: 9})
+	obs.Emit(sink, &obs.Event{Kind: obs.KindRunStart, Policy: "p", Seed: 9})
 	// Three quiet windows, then six congested ones.
 	for i := 0; i < 3; i++ {
 		at := float64(i) + 0.5
-		obs.Emit(sink, obs.Event{Kind: obs.KindCallOffered, Time: at})
-		obs.Emit(sink, obs.Event{Kind: obs.KindCallAdmitted, Time: at, Hops: 1})
+		obs.Emit(sink, &obs.Event{Kind: obs.KindCallOffered, Time: at})
+		obs.Emit(sink, &obs.Event{Kind: obs.KindCallAdmitted, Time: at, Hops: 1})
 	}
 	for i := 3; i < 9; i++ {
 		at := float64(i) + 0.5
-		obs.Emit(sink, obs.Event{Kind: obs.KindCallOffered, Time: at})
-		obs.Emit(sink, obs.Event{Kind: obs.KindCallBlocked, Time: at})
+		obs.Emit(sink, &obs.Event{Kind: obs.KindCallOffered, Time: at})
+		obs.Emit(sink, &obs.Event{Kind: obs.KindCallBlocked, Time: at})
 	}
-	obs.Emit(sink, obs.Event{Kind: obs.KindRunEnd, Time: 9})
+	obs.Emit(sink, &obs.Event{Kind: obs.KindRunEnd, Time: 9})
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,19 @@
 // observation in the input fails the guard, so it cannot pass vacuously;
 // records without a budget are history and are not checked.
 //
+// A record may name a denominator benchmark in "per" (for example
+// "per": "BenchmarkRunBare"). It is then guarded as a ratio, not as an
+// absolute value: the median observation of the record divided by the
+// median observation of the denominator's same metric, both from the same
+// input, must stay within max_regress of the same ratio of their recorded
+// medians. Host speed cancels out of such a ratio, so it can carry a
+// budget tight enough to catch a cost that a host-dependent absolute floor
+// would hide in noise. Medians, not bests, because the two bests of a
+// noisy input can come from different spells of the host, while the
+// medians of benchmarks run in alternating rounds track the same ones. The
+// denominator needs its own record of that metric in the ledger, and a
+// missing denominator observation fails like a missing record.
+//
 // The input is echoed to stdout unchanged so CI logs keep the full
 // benchmark output, and one verdict per budgeted record goes to stderr.
 // Exit status: 0 pass, 1 a guarded record regressed or is missing, 2 the
@@ -29,6 +42,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -62,12 +76,18 @@ type record struct {
 	Better     string    `json:"better"`
 	Samples    []float64 `json:"samples"`
 	MaxRegress *float64  `json:"max_regress,omitempty"`
+	// Per, when set, names the benchmark whose same-metric record is the
+	// denominator this record is guarded against (see the package doc).
+	Per string `json:"per,omitempty"`
 }
 
 // key names a (benchmark, unit) pair in both the ledger and the input.
 type key struct{ bench, unit string }
 
 func (r record) key() key { return key{r.Benchmark, r.Metric} }
+
+// perKey names the record's denominator.
+func (r record) perKey() key { return key{r.Per, r.Metric} }
 
 // higher reports whether larger values of the record's metric are better.
 func (r record) higher() bool { return r.Better == "higher" }
@@ -83,10 +103,24 @@ func (r record) best(vals []float64) float64 {
 	return b
 }
 
+// median returns the middle of vals, or the mean of the two middles of an
+// even count.
+func median(vals []float64) float64 {
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
 // readLedger decodes and validates a ledger: every record names its
 // benchmark and metric once, says which direction is better, and has
-// finite non-negative samples; a budget is a fraction in [0, 1). Unknown
-// fields are refused, so a misspelt max_regress cannot drop a guard.
+// finite non-negative samples; a budget is a fraction in [0, 1); a
+// denominator is another record of the same metric whose median sample is
+// positive. Unknown fields are refused, so a misspelt max_regress cannot
+// drop a guard.
 func readLedger(data []byte) (*ledger, error) {
 	var l ledger
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -121,7 +155,29 @@ func readLedger(data []byte) (*ledger, error) {
 			return nil, fmt.Errorf("%s %s: max_regress %v must be a fraction in [0, 1)", r.Benchmark, r.Metric, *f)
 		}
 	}
+	for _, r := range l.Records {
+		if r.Per == "" {
+			continue
+		}
+		den, ok := l.find(r.perKey())
+		if !ok || r.Per == r.Benchmark {
+			return nil, fmt.Errorf("%s %s: per %q names no other record of %s", r.Benchmark, r.Metric, r.Per, r.Metric)
+		}
+		if median(den.Samples) == 0 {
+			return nil, fmt.Errorf("%s %s: denominator %s has a zero median sample", r.Benchmark, r.Metric, r.Per)
+		}
+	}
 	return &l, nil
+}
+
+// find returns the record of k.
+func (l *ledger) find(k key) (record, bool) {
+	for _, r := range l.Records {
+		if r.key() == k {
+			return r, true
+		}
+	}
+	return record{}, false
 }
 
 // benchName strips the -<GOMAXPROCS> suffix go test appends to a
@@ -189,7 +245,20 @@ func check(l *ledger, obs map[key][]float64) ([]string, bool) {
 			ok = false
 			continue
 		}
-		base, got := r.best(r.Samples), r.best(vals)
+		base, got, what := r.best(r.Samples), r.best(vals), "recorded best"
+		if r.Per != "" {
+			name += " per " + r.Per
+			den, _ := l.find(r.perKey())
+			denVals, seen := obs[r.perKey()]
+			if !seen {
+				lines = append(lines, fmt.Sprintf("benchguard: %s: FAIL (no %s result in input)", name, r.Per))
+				ok = false
+				continue
+			}
+			base = median(r.Samples) / median(den.Samples)
+			got = median(vals) / median(denVals)
+			what = "recorded median ratio"
+		}
 		verdict := "ok"
 		if r.higher() {
 			if floor := base * (1 - *r.MaxRegress); got < floor {
@@ -204,7 +273,7 @@ func check(l *ledger, obs map[key][]float64) ([]string, bool) {
 		if base != 0 {
 			delta = fmt.Sprintf("%+.1f%%", 100*(got/base-1))
 		}
-		lines = append(lines, fmt.Sprintf("benchguard: %s: %.4g vs recorded best %.4g (%s): %s", name, got, base, delta, verdict))
+		lines = append(lines, fmt.Sprintf("benchguard: %s: %.4g vs %s %.4g (%s): %s", name, got, what, base, delta, verdict))
 	}
 	return lines, ok
 }

@@ -189,6 +189,58 @@ func TestCheckPerMetricFloors(t *testing.T) {
 	}
 }
 
+// TestCheckPerDenominator: a record with a denominator is guarded as the
+// ratio of its median observation to the denominator's, against the same
+// ratio of their recorded medians — a uniformly slower host passes, a
+// regressed ratio fails, and a missing denominator fails.
+func TestCheckPerDenominator(t *testing.T) {
+	l := &ledger{Records: []record{
+		{Benchmark: "BenchmarkRunBare", Metric: "ns/op", Better: "lower", Samples: []float64{3.2e6, 3e6, 2.8e6}},
+		{Benchmark: "BenchmarkRunInstrumented", Metric: "ns/op", Better: "lower", Samples: []float64{3.3e6, 1e6, 9e6}, MaxRegress: budget(0.10), Per: "BenchmarkRunBare"},
+	}}
+	// One fast and one slow outlier around each median: only the medians
+	// count.
+	observed := func(bare, instrumented float64) map[key][]float64 {
+		m := map[key][]float64{{"BenchmarkRunInstrumented", "ns/op"}: {instrumented / 2, 3 * instrumented, instrumented}}
+		if bare > 0 {
+			m[key{"BenchmarkRunBare", "ns/op"}] = []float64{bare, 4 * bare, bare / 3}
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name               string
+		bare, instrumented float64
+		ok                 bool
+		wantInVerdict      string
+	}{
+		// Recorded median ratio 1.1; the ceiling is 1.21.
+		{"same host", 3e6, 3.3e6, true, "ok"},
+		{"twice as slow a host", 6e6, 6.6e6, true, "ok"},
+		{"at the ceiling", 2e6, 2.42e6, true, "ok"},
+		// 1.5: absolutely faster than recorded, but a regressed ratio.
+		{"ratio regressed", 2e6, 3e6, false, "FAIL"},
+		{"missing denominator", 0, 3.3e6, false, "no BenchmarkRunBare result"},
+	} {
+		lines, ok := check(l, observed(tc.bare, tc.instrumented))
+		if ok != tc.ok || len(lines) != 1 || !strings.Contains(lines[0], tc.wantInVerdict) {
+			t.Errorf("%s: ok=%v %v, want ok=%v and %q", tc.name, ok, lines, tc.ok, tc.wantInVerdict)
+		}
+	}
+	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Errorf("median of an even count = %v, want 2.5", got)
+	}
+	for name, bad := range map[string]string{
+		"unknown denominator": `{"records": [{"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [1], "per": "A"}]}`,
+		"other metric only":   `{"records": [{"benchmark": "A", "metric": "B/op", "better": "lower", "samples": [1]}, {"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [1], "per": "A"}]}`,
+		"itself":              `{"records": [{"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [1], "per": "B"}]}`,
+		"zero denominator":    `{"records": [{"benchmark": "A", "metric": "ns/op", "better": "lower", "samples": [0, 5, 0]}, {"benchmark": "B", "metric": "ns/op", "better": "lower", "samples": [1], "per": "A"}]}`,
+	} {
+		if _, err := readLedger([]byte(bad)); err == nil {
+			t.Errorf("%s: ledger accepted", name)
+		}
+	}
+}
+
 // guard runs the command on the given ledger bytes and bench output and
 // returns its exit status.
 func guard(t *testing.T, ledgerJSON []byte, bench string) (int, string) {
@@ -218,9 +270,9 @@ func TestMalformedLedgerExits2(t *testing.T) {
 }
 
 // TestCheckedInLedger holds BENCH.json itself to the guard: bench output
-// that repeats each budgeted record's best sample passes, the replay
-// throughput budget is no looser than 30%, and inflating the recorded
-// replay samples past that budget fails the guard.
+// that repeats each budgeted record's best sample (its median and its
+// denominator's for a ratio) passes, the replay throughput budget is no looser than 30%, and
+// inflating the recorded replay samples past that budget fails the guard.
 func TestCheckedInLedger(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH.json"))
 	if err != nil {
@@ -236,7 +288,13 @@ func TestCheckedInLedger(t *testing.T) {
 		if r.MaxRegress == nil {
 			continue
 		}
-		fmt.Fprintf(&bench, "%s-2 \t 10 \t %g %s\n", r.Benchmark, r.best(r.Samples), r.Metric)
+		if r.Per == "" {
+			fmt.Fprintf(&bench, "%s-2 \t 10 \t %g %s\n", r.Benchmark, r.best(r.Samples), r.Metric)
+		} else {
+			den, _ := l.find(r.perKey())
+			fmt.Fprintf(&bench, "%s-2 \t 10 \t %g %s\n", r.Benchmark, median(r.Samples), r.Metric)
+			fmt.Fprintf(&bench, "%s-2 \t 10 \t %g %s\n", den.Benchmark, median(den.Samples), den.Metric)
+		}
 		if r.Benchmark == "BenchmarkRunCalls/replay" && r.Metric == "calls/sec" {
 			replay = i
 		}

@@ -19,14 +19,14 @@ type decisionLog struct {
 	blocked  map[int]obs.Event // call id → loss event
 }
 
-func (d *decisionLog) Event(e obs.Event) {
+func (d *decisionLog) Event(e *obs.Event) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	switch e.Kind {
 	case obs.KindCallAdmitted:
-		d.admitted[e.Call] = e
+		d.admitted[e.Call] = *e
 	case obs.KindCallBlocked:
-		d.blocked[e.Call] = e
+		d.blocked[e.Call] = *e
 	}
 }
 

@@ -71,6 +71,7 @@ type Server struct {
 	now          float64 // high-water decision timestamp
 
 	sink obs.Sink
+	ev   obs.Event // the decision loop's one reusable event
 
 	reqs chan request
 	quit chan struct{}
@@ -213,32 +214,42 @@ func (s *Server) stamp(r request) float64 {
 	return at
 }
 
-// handle decides one request and fans the reply back out.
+// handle decides one request and fans the reply back out. With a sink
+// attached, each event is filled into the loop's one reusable event and
+// emitted; without one, nothing is filled.
 func (s *Server) handle(r request) {
 	var rep reply
+	instrumented := s.sink != nil
 	switch r.kind {
 	case reqAdmit:
 		at := s.stamp(r)
 		s.maybeRefresh(at)
-		obs.Emit(s.sink, obs.Event{Kind: obs.KindCallOffered, Time: at,
-			Call: int(r.admit.id), Origin: int(r.admit.origin), Dest: int(r.admit.dest), Measured: true})
+		if instrumented {
+			ev := s.ev.Reset(obs.KindCallOffered, at)
+			ev.Call, ev.Origin, ev.Dest, ev.Measured = int(r.admit.id), int(r.admit.origin), int(r.admit.dest), true
+			obs.Emit(s.sink, ev)
+		}
 		dec, err := s.eng.Admit(at, r.admit.id, r.admit.origin, r.admit.dest)
 		rep.dec, rep.err = dec, err
-		if err == nil {
+		if err == nil && instrumented {
+			ev := &s.ev
 			if dec.Admitted {
-				obs.Emit(s.sink, obs.Event{Kind: obs.KindCallAdmitted, Time: at,
-					Call: int(dec.CallID), Hops: len(dec.Links), Alternate: dec.Alternate, Measured: true})
+				ev.Reset(obs.KindCallAdmitted, at)
+				ev.Hops, ev.Alternate = len(dec.Links), dec.Alternate
 			} else {
-				obs.Emit(s.sink, obs.Event{Kind: obs.KindCallBlocked, Time: at,
-					Call: int(dec.CallID), Link: int(dec.BlockedAt), Measured: true})
+				ev.Reset(obs.KindCallBlocked, at)
+				ev.Link = int(dec.BlockedAt)
 			}
+			ev.Call, ev.Measured = int(dec.CallID), true
+			obs.Emit(s.sink, ev)
 		}
 	case reqRelease:
 		at := s.stamp(r)
 		rep.err = s.eng.Release(r.release)
-		if rep.err == nil {
-			obs.Emit(s.sink, obs.Event{Kind: obs.KindCallDeparted, Time: at,
-				Call: int(r.release), Measured: true})
+		if rep.err == nil && instrumented {
+			ev := s.ev.Reset(obs.KindCallDeparted, at)
+			ev.Call, ev.Measured = int(r.release), true
+			obs.Emit(s.sink, ev)
 		}
 	case reqTopology:
 		at := s.stamp(r)
@@ -254,7 +265,11 @@ func (s *Server) handle(r request) {
 			s.hook(at, s.eng.State())
 		}
 		s.eng.Recompile()
-		obs.Emit(s.sink, obs.Event{Kind: kind, Time: at, Link: int(r.topo.link), Occupancy: occ})
+		if instrumented {
+			ev := s.ev.Reset(kind, at)
+			ev.Link, ev.Occupancy = int(r.topo.link), occ
+			obs.Emit(s.sink, ev)
+		}
 	case reqStatus:
 		rep.status = s.statusLocked()
 	case reqTick:

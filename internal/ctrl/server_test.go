@@ -293,3 +293,38 @@ func TestServerTopologyRejectsWholeRequest(t *testing.T) {
 			before.Metrics.Recompiles, after.Metrics.Recompiles)
 	}
 }
+
+// TestServerSinkAddsNoAllocs: the decision loop fills its one reusable
+// event in place, so attaching a sink costs a decision no allocation.
+func TestServerSinkAddsNoAllocs(t *testing.T) {
+	g := netmodel.Quadrangle()
+	pol, err := benchPolicy(g, 85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perDecision := func(sink obs.Sink) float64 {
+		srv, err := NewServer(Config{Graph: g, Policy: pol, Sink: sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		defer srv.Shutdown()
+		id := int64(0)
+		return testing.AllocsPerRun(200, func() {
+			id++
+			dec, err := srv.Admit(id, graph.NodeID(id%4), graph.NodeID((id+1)%4), float64(id), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Admitted {
+				if err := srv.Release(id, float64(id), true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	bare, withSink := perDecision(nil), perDecision(obs.NullSink{})
+	if withSink > bare {
+		t.Fatalf("a decision allocates %v objects with a sink, %v without", withSink, bare)
+	}
+}

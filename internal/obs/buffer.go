@@ -19,10 +19,10 @@ type Buffer struct {
 // NewBuffer returns an empty buffer.
 func NewBuffer() *Buffer { return &Buffer{} }
 
-// Event implements Sink.
-func (b *Buffer) Event(e Event) {
+// Event implements Sink: it appends a copy of *e.
+func (b *Buffer) Event(e *Event) {
 	b.mu.Lock()
-	b.events = append(b.events, e)
+	b.events = append(b.events, *e)
 	b.mu.Unlock()
 }
 
@@ -49,7 +49,7 @@ func (b *Buffer) FlushTo(s Sink) {
 	events := b.events
 	b.events = nil
 	b.mu.Unlock()
-	for _, e := range events {
-		Emit(s, e)
+	for i := range events {
+		Emit(s, &events[i])
 	}
 }

@@ -10,7 +10,7 @@ func TestBufferOrderAndFlush(t *testing.T) {
 	in := sampleEvents()
 	b := NewBuffer()
 	for _, e := range in {
-		b.Event(e)
+		b.Event(&e)
 	}
 	if b.Len() != len(in) {
 		t.Fatalf("Len = %d, want %d", b.Len(), len(in))
@@ -30,9 +30,9 @@ func TestBufferOrderAndFlush(t *testing.T) {
 
 	// Flushing into another buffer concatenates in order.
 	dst := NewBuffer()
-	dst.Event(in[0])
+	dst.Event(&in[0])
 	b2 := NewBuffer()
-	b2.Event(in[1])
+	b2.Event(&in[1])
 	b2.FlushTo(dst)
 	if got := dst.Events(); !reflect.DeepEqual(got, []Event{in[0], in[1]}) {
 		t.Fatalf("concatenated %+v", got)
@@ -42,7 +42,7 @@ func TestBufferOrderAndFlush(t *testing.T) {
 func TestBufferFlushToNil(t *testing.T) {
 	b := NewBuffer()
 	for _, e := range sampleEvents() {
-		b.Event(e)
+		b.Event(&e)
 	}
 	b.FlushTo(nil) // must not panic; still empties
 	if b.Len() != 0 {
@@ -60,7 +60,7 @@ func TestBufferConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				b.Event(Event{Kind: KindCallOffered, Call: w*perWriter + i})
+				b.Event(&Event{Kind: KindCallOffered, Call: w*perWriter + i})
 			}
 		}(w)
 	}
@@ -73,4 +73,4 @@ func TestBufferConcurrentWriters(t *testing.T) {
 // recorder is a minimal Sink capturing events in order.
 type recorder struct{ events []Event }
 
-func (r *recorder) Event(e Event) { r.events = append(r.events, e) }
+func (r *recorder) Event(e *Event) { r.events = append(r.events, *e) }

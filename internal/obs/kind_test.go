@@ -56,7 +56,7 @@ func TestKindExhaustiveRoundTrip(t *testing.T) {
 		// The trace reader must accept a stream holding this kind.
 		var buf bytes.Buffer
 		sink := NewJSONL(&buf)
-		Emit(sink, e)
+		Emit(sink, &e)
 		if err := sink.Flush(); err != nil {
 			t.Fatalf("kind %s: flush: %v", name, err)
 		}

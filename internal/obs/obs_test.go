@@ -27,7 +27,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
 	for _, e := range in {
-		sink.Event(e)
+		sink.Event(&e)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -75,7 +75,7 @@ func TestKindStrings(t *testing.T) {
 func TestRingTruncation(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
-		r.Event(Event{Kind: KindCallOffered, Call: i})
+		r.Event(&Event{Kind: KindCallOffered, Call: i})
 	}
 	got := r.Events()
 	if len(got) != 4 {
@@ -94,7 +94,7 @@ func TestRingTruncation(t *testing.T) {
 func TestRingPartial(t *testing.T) {
 	r := NewRing(8)
 	for i := 0; i < 3; i++ {
-		r.Event(Event{Call: i})
+		r.Event(&Event{Call: i})
 	}
 	if got := r.Events(); len(got) != 3 || got[0].Call != 0 || got[2].Call != 2 {
 		t.Fatalf("partial ring events = %+v", got)
@@ -107,7 +107,7 @@ func TestRingPartial(t *testing.T) {
 func TestMulti(t *testing.T) {
 	a, b := NewRing(8), NewRing(8)
 	m := Multi(nil, a, nil, b)
-	m.Event(Event{Kind: KindCallOffered})
+	m.Event(&Event{Kind: KindCallOffered})
 	if len(a.Events()) != 1 || len(b.Events()) != 1 {
 		t.Fatal("multi did not fan out")
 	}
@@ -165,5 +165,33 @@ func TestAggregateUnmarkedStream(t *testing.T) {
 	}
 	if Aggregate(nil) != nil {
 		t.Fatal("empty stream must aggregate to no runs")
+	}
+}
+
+// TestEventResetZeroesEveryField sets every field of an event, including
+// any field added after Reset was written, and checks that Reset leaves
+// only the kind and epoch it was given.
+func TestEventResetZeroesEveryField(t *testing.T) {
+	var e Event
+	v := reflect.ValueOf(&e).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Uint8:
+			f.SetUint(uint64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.String:
+			f.SetString(v.Type().Field(i).Name)
+		default:
+			t.Fatalf("field %s: kind %s not covered", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	if got, want := *e.Reset(KindCallDeparted, 7.5), (Event{Kind: KindCallDeparted, Time: 7.5}); got != want {
+		t.Fatalf("Reset left %+v, want %+v", got, want)
 	}
 }

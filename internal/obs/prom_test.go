@@ -28,7 +28,7 @@ func promTestRegistry() *Registry {
 		{Kind: KindCallDeparted, Hops: 1},
 		{Kind: KindRunEnd, Offered: 3, Blocked: 1},
 	} {
-		r.Event(e)
+		r.Event(&e)
 	}
 	r.AddSpan(10)
 	r.Solver("fixed-point").Observe(0, 0.5, 0)

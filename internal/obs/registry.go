@@ -94,7 +94,7 @@ func NewRegistry() *Registry {
 
 // Event implements Sink: it folds one event into the counters. Only
 // measured events enter the blocking counters, mirroring sim.Result.
-func (r *Registry) Event(e Event) {
+func (r *Registry) Event(e *Event) {
 	r.events.Add(1)
 	switch e.Kind {
 	case KindRunStart:

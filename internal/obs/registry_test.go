@@ -10,7 +10,7 @@ import (
 func TestRegistryCounts(t *testing.T) {
 	r := NewRegistry()
 	for _, e := range sampleEvents() {
-		r.Event(e)
+		r.Event(&e)
 	}
 	s := r.Snapshot()
 	if s.Runs != 1 || s.Offered != 2 || s.Accepted != 1 || s.Blocked != 1 ||
@@ -60,11 +60,11 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			tr := r.Solver("fixedpoint")
 			for i := 0; i < perWorker; i++ {
-				r.Event(Event{Kind: KindCallOffered, Measured: true, Drained: i % 5})
-				r.Event(Event{Kind: KindCallAdmitted, Measured: true, Hops: i % 4, Alternate: i%2 == 0})
-				r.Event(Event{Kind: KindLinkOccupancy, Link: (w*perWorker + i) % 64, Occupancy: i % 100})
+				r.Event(&Event{Kind: KindCallOffered, Measured: true, Drained: i % 5})
+				r.Event(&Event{Kind: KindCallAdmitted, Measured: true, Hops: i % 4, Alternate: i%2 == 0})
+				r.Event(&Event{Kind: KindLinkOccupancy, Link: (w*perWorker + i) % 64, Occupancy: i % 100})
 				if i%3 == 0 {
-					r.Event(Event{Kind: KindCallBlocked, Measured: true})
+					r.Event(&Event{Kind: KindCallBlocked, Measured: true})
 				}
 				tr.Observe(i, 1/float64(i+1), int64(i))
 				if i%500 == 0 {

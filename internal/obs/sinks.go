@@ -5,33 +5,178 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // JSONL writes one JSON object per event, newline-delimited. It is safe for
-// concurrent use; writes are buffered, so call Flush (or Close) before
-// reading the underlying file. The first write error is latched and reported
-// by Flush/Close/Err; subsequent events are dropped.
+// concurrent use; writes are buffered, so call Flush before reading the
+// underlying file. The first write error is latched and reported by
+// Flush/Err; subsequent events are dropped.
+//
+// Each line is byte-identical to what encoding/json's Encoder writes for
+// the Event (field order and names, omitempty fields, number format,
+// HTML-safe string escaping), but it is appended by hand into one reused
+// buffer instead of through reflection. An event encoding/json refuses — a
+// kind without a wire name, a NaN or infinite time — latches the error
+// encoding/json returns for it.
 type JSONL struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
-	enc *json.Encoder
+	buf []byte
 	err error
 }
 
 // NewJSONL returns a JSONL sink over w.
 func NewJSONL(w io.Writer) *JSONL {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	return &JSONL{bw: bw, enc: json.NewEncoder(bw)}
+	return &JSONL{bw: bufio.NewWriterSize(w, 1<<16)}
 }
 
 // Event implements Sink.
-func (s *JSONL) Event(e Event) {
+func (s *JSONL) Event(e *Event) {
 	s.mu.Lock()
 	if s.err == nil {
-		s.err = s.enc.Encode(&e)
+		var ok bool
+		if s.buf, ok = appendEvent(s.buf[:0], e); ok {
+			_, s.err = s.bw.Write(s.buf)
+		} else {
+			_, s.err = json.Marshal(e)
+		}
 	}
 	s.mu.Unlock()
+}
+
+// appendEvent appends e's JSON line to b. It reports false, appending
+// nothing, for the events encoding/json refuses: a kind without a wire
+// name (Kind.MarshalText fails) or a non-finite time.
+func appendEvent(b []byte, e *Event) ([]byte, bool) {
+	if int(e.Kind) >= len(kindNames) || kindNames[e.Kind] == "" || math.IsNaN(e.Time) || math.IsInf(e.Time, 0) {
+		return b, false
+	}
+	b = append(b, `{"kind":"`...)
+	b = append(b, kindNames[e.Kind]...)
+	b = append(b, `","t":`...)
+	b = appendFloat(b, e.Time)
+	b = append(b, `,"call":`...)
+	b = strconv.AppendInt(b, int64(e.Call), 10)
+	b = append(b, `,"origin":`...)
+	b = strconv.AppendInt(b, int64(e.Origin), 10)
+	b = append(b, `,"dest":`...)
+	b = strconv.AppendInt(b, int64(e.Dest), 10)
+	b = append(b, `,"link":`...)
+	b = strconv.AppendInt(b, int64(e.Link), 10)
+	b = append(b, `,"occ":`...)
+	b = strconv.AppendInt(b, int64(e.Occupancy), 10)
+	b = append(b, `,"hops":`...)
+	b = strconv.AppendInt(b, int64(e.Hops), 10)
+	b = append(b, `,"win":`...)
+	b = strconv.AppendInt(b, int64(e.Window), 10)
+	b = append(b, `,"offered":`...)
+	b = strconv.AppendInt(b, e.Offered, 10)
+	b = append(b, `,"blocked":`...)
+	b = strconv.AppendInt(b, e.Blocked, 10)
+	b = append(b, `,"alt":`...)
+	b = strconv.AppendBool(b, e.Alternate)
+	b = append(b, `,"measured":`...)
+	b = strconv.AppendBool(b, e.Measured)
+	b = append(b, `,"drained":`...)
+	b = strconv.AppendInt(b, int64(e.Drained), 10)
+	if e.Policy != "" {
+		b = append(b, `,"policy":`...)
+		b = appendString(b, e.Policy)
+	}
+	if e.Seed != 0 {
+		b = append(b, `,"seed":`...)
+		b = strconv.AppendInt(b, e.Seed, 10)
+	}
+	if e.From != "" {
+		b = append(b, `,"from":`...)
+		b = appendString(b, e.From)
+	}
+	if e.To != "" {
+		b = append(b, `,"to":`...)
+		b = appendString(b, e.To)
+	}
+	return append(b, '}', '\n'), true
+}
+
+// appendFloat formats a finite float64 as encoding/json does: the shortest
+// round-tripping decimal, in exponent form below 1e-6 and from 1e21 on,
+// with a one-digit negative exponent written without its leading zero
+// ("1e-7", not "1e-07"). Negative zero stays "-0".
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendString quotes s as encoding/json does with HTML escaping on:
+// quote and backslash are backslash-escaped; \b, \f, \n, \r and \t get
+// their short escapes and every other control byte a \u00XX escape; <, >
+// and & become \u003c, \u003e and \u0026; U+2028 and U+2029 are escaped;
+// each byte of invalid UTF-8 becomes \ufffd.
+func appendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		var esc string
+		switch {
+		case r == utf8.RuneError && size == 1:
+			esc = `\ufffd`
+		case r == '\u2028':
+			esc = `\u2028`
+		case r == '\u2029':
+			esc = `\u2029`
+		}
+		if esc != "" {
+			b = append(b, s[start:i]...)
+			b = append(b, esc...)
+			start = i + size
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // Flush drains the buffer and returns the first error seen.
@@ -95,13 +240,13 @@ func NewRing(n int) *Ring {
 	return &Ring{buf: make([]Event, n)}
 }
 
-// Event implements Sink.
-func (s *Ring) Event(e Event) {
+// Event implements Sink: it stores a copy of *e.
+func (s *Ring) Event(e *Event) {
 	s.mu.Lock()
 	if s.full {
 		s.dropped++
 	}
-	s.buf[s.next] = e
+	s.buf[s.next] = *e
 	s.next++
 	if s.next == len(s.buf) {
 		s.next = 0
@@ -133,7 +278,7 @@ func (s *Ring) Dropped() int64 {
 // multi fans one stream out to several sinks in order.
 type multi []Sink
 
-func (m multi) Event(e Event) {
+func (m multi) Event(e *Event) {
 	for _, s := range m {
 		s.Event(e)
 	}

@@ -197,6 +197,9 @@ type Folder struct {
 
 	// runIdx is the producer's copy of the current run's index.
 	runIdx int
+	// shiftEv is the producer's one reusable event for regime-shift
+	// emission (Options.Sink).
+	shiftEv obs.Event
 
 	// Shared state, guarded by mu: mutated only at run and window
 	// boundaries, read by the snapshot accessors.
@@ -223,15 +226,6 @@ func New(opt Options) (*Folder, error) {
 	return f, nil
 }
 
-// Event implements obs.Sink: it folds one event into the series. The hot
-// path is lock-free — it touches only producer-owned state; the lock is
-// taken when a window closes or a run starts or ends.
-//
-//altlint:hotpath
-func (f *Folder) Event(e obs.Event) {
-	f.fold(&e)
-}
-
 // FoldEvents folds a complete event slice (as returned by obs.ReadJSONL)
 // into per-run series — the offline entry point used by cmd/alttrace. The
 // trailing run is finalized even without a run-end event, its last window
@@ -242,18 +236,19 @@ func FoldEvents(events []obs.Event, opt Options) ([]RunSeries, error) {
 		return nil, err
 	}
 	for i := range events {
-		f.fold(&events[i])
+		f.Event(&events[i])
 	}
 	f.endRun()
 	return f.Series(), nil
 }
 
-// fold dispatches one event on the producer goroutine. The event is passed
-// by pointer to spare the hot path a second copy of the (large) Event
-// struct; fold never retains or mutates it.
+// Event implements obs.Sink: it folds one event into the series on the
+// producer goroutine, never retaining or mutating it. The hot path is
+// lock-free — it touches only producer-owned state; the lock is taken when
+// a window closes or a run starts or ends.
 //
 //altlint:hotpath
-func (f *Folder) fold(e *obs.Event) {
+func (f *Folder) Event(e *obs.Event) {
 	if e.Kind == obs.KindRunStart {
 		f.endRun()
 		f.startRun(e.Policy, e.Seed)
@@ -450,15 +445,10 @@ func (f *Folder) closeWindow(end float64) {
 		f.opt.OnWindow(run, *w)
 	}
 	if shifted {
-		obs.Emit(f.opt.Sink, obs.Event{
-			Kind:    obs.KindRegimeShift,
-			Time:    shift.Time,
-			Window:  shift.Window,
-			Offered: w.Offered,
-			Blocked: w.Blocked,
-			From:    shift.From.String(),
-			To:      shift.To.String(),
-		})
+		ev := f.shiftEv.Reset(obs.KindRegimeShift, shift.Time)
+		ev.Window, ev.Offered, ev.Blocked = shift.Window, w.Offered, w.Blocked
+		ev.From, ev.To = shift.From.String(), shift.To.String()
+		obs.Emit(f.opt.Sink, ev)
 		if f.opt.OnShift != nil {
 			f.opt.OnShift(run, shift)
 		}

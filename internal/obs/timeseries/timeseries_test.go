@@ -251,13 +251,13 @@ func TestFolderShiftEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.Emit(f, obs.Event{Kind: obs.KindRunStart, Policy: "p", Seed: 1})
+	obs.Emit(f, &obs.Event{Kind: obs.KindRunStart, Policy: "p", Seed: 1})
 	for i := 0; i < 3; i++ {
 		at := float64(i) + 0.5
-		obs.Emit(f, obs.Event{Kind: obs.KindCallOffered, Time: at})
-		obs.Emit(f, obs.Event{Kind: obs.KindCallBlocked, Time: at})
+		obs.Emit(f, &obs.Event{Kind: obs.KindCallOffered, Time: at})
+		obs.Emit(f, &obs.Event{Kind: obs.KindCallBlocked, Time: at})
 	}
-	obs.Emit(f, obs.Event{Kind: obs.KindRunEnd, Time: 3})
+	obs.Emit(f, &obs.Event{Kind: obs.KindRunEnd, Time: 3})
 
 	if n := f.Shifts(); n != 1 {
 		t.Fatalf("Shifts() = %d, want 1", n)
@@ -301,11 +301,11 @@ func TestFolderLatestAndCollectProm(t *testing.T) {
 		t.Fatalf("pre-window exposition invalid: %v\n%s", err, buf.String())
 	}
 
-	obs.Emit(f, obs.Event{Kind: obs.KindRunStart, Policy: "p", Seed: 1})
-	obs.Emit(f, obs.Event{Kind: obs.KindCallOffered, Time: 0.5})
-	obs.Emit(f, obs.Event{Kind: obs.KindCallAdmitted, Time: 0.5, Hops: 1})
-	obs.Emit(f, obs.Event{Kind: obs.KindLinkOccupancy, Time: 0.5, Link: 1, Occupancy: 2})
-	obs.Emit(f, obs.Event{Kind: obs.KindCallOffered, Time: 1.5})
+	obs.Emit(f, &obs.Event{Kind: obs.KindRunStart, Policy: "p", Seed: 1})
+	obs.Emit(f, &obs.Event{Kind: obs.KindCallOffered, Time: 0.5})
+	obs.Emit(f, &obs.Event{Kind: obs.KindCallAdmitted, Time: 0.5, Hops: 1})
+	obs.Emit(f, &obs.Event{Kind: obs.KindLinkOccupancy, Time: 0.5, Link: 1, Occupancy: 2})
+	obs.Emit(f, &obs.Event{Kind: obs.KindCallOffered, Time: 1.5})
 
 	run, w, ok := f.Latest()
 	if !ok || run != 0 || w.Index != 0 || w.Offered != 1 || w.Accepted != 1 {
@@ -352,7 +352,7 @@ type recordSink struct {
 	events []obs.Event
 }
 
-func (s *recordSink) Event(e obs.Event) { s.events = append(s.events, e) }
+func (s *recordSink) Event(e *obs.Event) { s.events = append(s.events, *e) }
 
 // jsonlBytes serializes a stream the way `altsim -events` does.
 func jsonlBytes(t *testing.T, events []obs.Event) []byte {
@@ -360,7 +360,7 @@ func jsonlBytes(t *testing.T, events []obs.Event) []byte {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
 	for _, e := range events {
-		sink.Event(e)
+		sink.Event(&e)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -474,14 +474,14 @@ func TestConcurrentScrape(t *testing.T) {
 		}
 	}()
 	for run := 0; run < 4; run++ {
-		f.Event(obs.Event{Kind: obs.KindRunStart, Policy: "p", Seed: int64(run)})
+		f.Event(&obs.Event{Kind: obs.KindRunStart, Policy: "p", Seed: int64(run)})
 		for i := 0; i < 5000; i++ {
 			at := float64(i) * 0.005
-			f.Event(obs.Event{Kind: obs.KindCallOffered, Time: at})
-			f.Event(obs.Event{Kind: obs.KindCallBlocked, Time: at})
-			f.Event(obs.Event{Kind: obs.KindLinkOccupancy, Time: at, Link: i % 3, Occupancy: i % 7})
+			f.Event(&obs.Event{Kind: obs.KindCallOffered, Time: at})
+			f.Event(&obs.Event{Kind: obs.KindCallBlocked, Time: at})
+			f.Event(&obs.Event{Kind: obs.KindLinkOccupancy, Time: at, Link: i % 3, Occupancy: i % 7})
 		}
-		f.Event(obs.Event{Kind: obs.KindRunEnd, Time: 25})
+		f.Event(&obs.Event{Kind: obs.KindRunEnd, Time: 25})
 	}
 	close(done)
 	wg.Wait()

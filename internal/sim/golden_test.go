@@ -183,7 +183,7 @@ func referenceRun(cfg sim.Config) (*sim.Result, error) {
 	occupancyEvents := sink != nil && cfg.OccupancyEvents
 	sampleOccupancy := func(at float64, p paths.Path) {
 		for _, id := range p.Links {
-			sink.Event(obs.Event{
+			sink.Event(&obs.Event{
 				Kind: obs.KindLinkOccupancy, Time: at,
 				Link: int(id), Occupancy: st.Occupancy(id),
 			})
@@ -195,7 +195,7 @@ func referenceRun(cfg sim.Config) (*sim.Result, error) {
 	closeWindows := func(upTo int) {
 		for ; closedWindows < upTo; closedWindows++ {
 			w := windows[closedWindows]
-			sink.Event(obs.Event{
+			sink.Event(&obs.Event{
 				Kind: obs.KindWindowClosed, Time: w.End, Window: closedWindows,
 				Offered: w.Offered, Blocked: w.Blocked,
 			})
@@ -245,7 +245,7 @@ func referenceRun(cfg sim.Config) (*sim.Result, error) {
 	}
 
 	if sink != nil {
-		sink.Event(obs.Event{Kind: obs.KindRunStart, Policy: res.Policy, Seed: cfg.Trace.Seed})
+		sink.Event(&obs.Event{Kind: obs.KindRunStart, Policy: res.Policy, Seed: cfg.Trace.Seed})
 	}
 	drained := 0
 	for _, c := range cfg.Trace.Calls {
@@ -257,7 +257,7 @@ func referenceRun(cfg sim.Config) (*sim.Result, error) {
 			flushPath(d.path, d.at)
 			st.Release(d.path)
 			if sink != nil {
-				sink.Event(obs.Event{
+				sink.Event(&obs.Event{
 					Kind: obs.KindCallDeparted, Time: d.at,
 					Hops: d.path.Hops(), Measured: d.at >= cfg.Warmup,
 				})
@@ -279,7 +279,7 @@ func referenceRun(cfg sim.Config) (*sim.Result, error) {
 			}
 		}
 		if sink != nil {
-			sink.Event(obs.Event{
+			sink.Event(&obs.Event{
 				Kind: obs.KindCallOffered, Time: c.Arrival, Call: c.ID,
 				Origin: int(c.Origin), Dest: int(c.Dest),
 				Measured: measured, Drained: drained,
@@ -301,7 +301,7 @@ func referenceRun(cfg sim.Config) (*sim.Result, error) {
 				}
 			}
 			if sink != nil {
-				sink.Event(obs.Event{
+				sink.Event(&obs.Event{
 					Kind: obs.KindCallAdmitted, Time: c.Arrival, Call: c.ID,
 					Origin: int(c.Origin), Dest: int(c.Dest),
 					Hops: p.Hops(), Alternate: alternate, Measured: measured,
@@ -326,7 +326,7 @@ func referenceRun(cfg sim.Config) (*sim.Result, error) {
 			}
 		}
 		if sink != nil {
-			sink.Event(obs.Event{
+			sink.Event(&obs.Event{
 				Kind: obs.KindCallBlocked, Time: c.Arrival, Call: c.ID,
 				Origin: int(c.Origin), Dest: int(c.Dest),
 				Link: int(blockAt), Measured: measured,
@@ -338,7 +338,7 @@ func referenceRun(cfg sim.Config) (*sim.Result, error) {
 		flushPath(d.path, d.at)
 		st.Release(d.path)
 		if sink != nil {
-			sink.Event(obs.Event{
+			sink.Event(&obs.Event{
 				Kind: obs.KindCallDeparted, Time: d.at,
 				Hops: d.path.Hops(), Measured: d.at >= cfg.Warmup,
 			})
@@ -358,7 +358,7 @@ func referenceRun(cfg sim.Config) (*sim.Result, error) {
 	res.Span = window
 	if sink != nil {
 		closeWindows(len(windows))
-		sink.Event(obs.Event{
+		sink.Event(&obs.Event{
 			Kind: obs.KindRunEnd, Time: horizon,
 			Offered: res.Offered, Blocked: res.Blocked,
 		})
@@ -373,7 +373,7 @@ type recordSink struct {
 	events []obs.Event
 }
 
-func (s *recordSink) Event(e obs.Event) { s.events = append(s.events, e) }
+func (s *recordSink) Event(e *obs.Event) { s.events = append(s.events, *e) }
 
 func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
@@ -812,7 +812,7 @@ func encodeJSONL(events []obs.Event) ([]byte, error) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
 	for _, e := range events {
-		sink.Event(e)
+		sink.Event(&e)
 	}
 	err := sink.Flush()
 	return buf.Bytes(), err

@@ -197,15 +197,20 @@ type loop struct {
 	util []float64
 	last []float64
 	occ  []int
+
+	// ev is the run's one reusable event, reset and filled in place for
+	// every emission and allocated only when a sink is attached: as a
+	// field of loop its address, handed to the sink, would move every
+	// run's loop to the heap.
+	ev *obs.Event
 }
 
 // sampleOccupancy reports each changed link's new occupancy.
 func (l *loop) sampleOccupancy(at float64, p paths.Path) {
 	for _, id := range p.Links {
-		obs.Emit(l.sink, obs.Event{
-			Kind: obs.KindLinkOccupancy, Time: at,
-			Link: int(id), Occupancy: l.st.Occupancy(id),
-		})
+		ev := l.ev.Reset(obs.KindLinkOccupancy, at)
+		ev.Link, ev.Occupancy = int(id), l.st.Occupancy(id)
+		obs.Emit(l.sink, ev)
 	}
 }
 
@@ -214,11 +219,10 @@ func (l *loop) sampleOccupancy(at float64, p paths.Path) {
 // (arrivals are the only events that update window counts).
 func (l *loop) closeWindows(upTo int) {
 	for ; l.closedWindows < upTo; l.closedWindows++ {
-		w := l.windows[l.closedWindows]
-		obs.Emit(l.sink, obs.Event{
-			Kind: obs.KindWindowClosed, Time: w.End, Window: l.closedWindows,
-			Offered: w.Offered, Blocked: w.Blocked,
-		})
+		w := &l.windows[l.closedWindows]
+		ev := l.ev.Reset(obs.KindWindowClosed, w.End)
+		ev.Window, ev.Offered, ev.Blocked = l.closedWindows, w.Offered, w.Blocked
+		obs.Emit(l.sink, ev)
 	}
 }
 
@@ -291,10 +295,9 @@ func (l *loop) applyPlanGroup() {
 			if ev.Down {
 				kind = obs.KindLinkDown
 			}
-			obs.Emit(sink, obs.Event{
-				Kind: kind, Time: at,
-				Link: int(ev.Link), Occupancy: st.Occupancy(ev.Link),
-			})
+			e := l.ev.Reset(kind, at)
+			e.Link, e.Occupancy = int(ev.Link), st.Occupancy(ev.Link)
+			obs.Emit(sink, e)
 		}
 		if ev.Down {
 			downed = append(downed, ev.Link)
@@ -356,11 +359,10 @@ func (l *loop) applyPlanGroup() {
 					l.res.FailureRerouted++
 				}
 				if l.instrumented {
-					obs.Emit(sink, obs.Event{
-						Kind: obs.KindCallRerouted, Time: at, Call: int(tc.meta.id),
-						Origin: int(tc.meta.origin), Dest: int(tc.meta.dest),
-						Hops: p.Hops(), Alternate: alternate, Measured: measured,
-					})
+					ev := l.ev.Reset(obs.KindCallRerouted, at)
+					ev.Call, ev.Origin, ev.Dest = int(tc.meta.id), int(tc.meta.origin), int(tc.meta.dest)
+					ev.Hops, ev.Alternate, ev.Measured = p.Hops(), alternate, measured
+					obs.Emit(sink, ev)
 					if l.occupancyEvents {
 						l.sampleOccupancy(at, p)
 					}
@@ -384,24 +386,27 @@ func (l *loop) applyPlanGroup() {
 					}
 				}
 			}
-			obs.Emit(sink, obs.Event{
-				Kind: obs.KindCallLostFailure, Time: at, Call: int(tc.meta.id),
-				Origin: int(tc.meta.origin), Dest: int(tc.meta.dest),
-				Link: int(lostAt), Hops: tc.path.Hops(), Measured: measured,
-			})
+			ev := l.ev.Reset(obs.KindCallLostFailure, at)
+			ev.Call, ev.Origin, ev.Dest = int(tc.meta.id), int(tc.meta.origin), int(tc.meta.dest)
+			ev.Link, ev.Hops, ev.Measured = int(lostAt), tc.path.Hops(), measured
+			obs.Emit(sink, ev)
 		}
 	}
 }
 
 // departed processes one popped teardown: utilization, release, event.
+// Each link is flushed and released in one pass, as drainFast does; a
+// link's flush reads only that link's occupancy, so this is the same
+// arithmetic as flushing the whole path before releasing it.
 func (l *loop) departed(at float64, path paths.Path) {
-	l.flushPath(path, at)
-	l.st.Release(path)
+	for _, id := range path.Links {
+		l.flushLink(id, at)
+		l.st.ReleaseLink(id)
+	}
 	if l.instrumented {
-		obs.Emit(l.sink, obs.Event{
-			Kind: obs.KindCallDeparted, Time: at,
-			Hops: path.Hops(), Measured: at >= l.cfg.Warmup,
-		})
+		ev := l.ev.Reset(obs.KindCallDeparted, at)
+		ev.Hops, ev.Measured = path.Hops(), at >= l.cfg.Warmup
+		obs.Emit(l.sink, ev)
 		if l.occupancyEvents {
 			l.sampleOccupancy(at, path)
 		}
@@ -499,11 +504,10 @@ func (l *loop) offered(c Call, pairIdx int) (measured bool, win *WindowStats) {
 		}
 	}
 	if l.instrumented {
-		obs.Emit(l.sink, obs.Event{
-			Kind: obs.KindCallOffered, Time: c.Arrival, Call: c.ID,
-			Origin: int(c.Origin), Dest: int(c.Dest),
-			Measured: measured, Drained: l.drained,
-		})
+		ev := l.ev.Reset(obs.KindCallOffered, c.Arrival)
+		ev.Call, ev.Origin, ev.Dest = c.ID, int(c.Origin), int(c.Dest)
+		ev.Measured, ev.Drained = measured, l.drained
+		obs.Emit(l.sink, ev)
 		l.drained = 0
 	}
 	return measured, win
@@ -533,11 +537,10 @@ func (l *loop) admitTally(c Call, p paths.Path, alternate, measured bool) {
 		}
 	}
 	if l.instrumented {
-		obs.Emit(l.sink, obs.Event{
-			Kind: obs.KindCallAdmitted, Time: c.Arrival, Call: c.ID,
-			Origin: int(c.Origin), Dest: int(c.Dest),
-			Hops: p.Hops(), Alternate: alternate, Measured: measured,
-		})
+		ev := l.ev.Reset(obs.KindCallAdmitted, c.Arrival)
+		ev.Call, ev.Origin, ev.Dest = c.ID, int(c.Origin), int(c.Dest)
+		ev.Hops, ev.Alternate, ev.Measured = p.Hops(), alternate, measured
+		obs.Emit(l.sink, ev)
 		if l.occupancyEvents {
 			l.sampleOccupancy(c.Arrival, p)
 		}
@@ -560,11 +563,10 @@ func (l *loop) blocked(c Call, pairIdx int, measured bool, win *WindowStats, blo
 		}
 	}
 	if l.instrumented {
-		obs.Emit(l.sink, obs.Event{
-			Kind: obs.KindCallBlocked, Time: c.Arrival, Call: c.ID,
-			Origin: int(c.Origin), Dest: int(c.Dest),
-			Link: int(blockAt), Measured: measured,
-		})
+		ev := l.ev.Reset(obs.KindCallBlocked, c.Arrival)
+		ev.Call, ev.Origin, ev.Dest = c.ID, int(c.Origin), int(c.Dest)
+		ev.Link, ev.Measured = int(blockAt), measured
+		obs.Emit(l.sink, ev)
 	}
 }
 
@@ -698,10 +700,9 @@ func (l *loop) finish() {
 	res.Windows = l.windows
 	if l.instrumented {
 		l.closeWindows(len(l.windows))
-		obs.Emit(l.sink, obs.Event{
-			Kind: obs.KindRunEnd, Time: l.horizon,
-			Offered: res.Offered, Blocked: res.Blocked,
-		})
+		ev := l.ev.Reset(obs.KindRunEnd, l.horizon)
+		ev.Offered, ev.Blocked = res.Offered, res.Blocked
+		obs.Emit(l.sink, ev)
 	}
 }
 
@@ -779,7 +780,7 @@ func Run(cfg Config) (*Result, error) {
 		// The nil test happens once; hot-path instrumentation blocks are
 		// gated on the resulting boolean so disabled runs skip event
 		// construction entirely, and every emission goes through obs.Emit
-		// (sink-discipline).
+		// (sink-discipline) with the one event allocated below.
 		sink:         cfg.Sink,
 		instrumented: cfg.Sink != nil,
 		util:         res.LinkTimeUtil,
@@ -789,7 +790,12 @@ func Run(cfg Config) (*Result, error) {
 	l.occupancyEvents = l.instrumented && cfg.OccupancyEvents
 	l.deps.init(horizon, len(plan) > 0)
 
-	obs.Emit(l.sink, obs.Event{Kind: obs.KindRunStart, Policy: res.Policy, Seed: seed})
+	if l.instrumented {
+		l.ev = new(obs.Event)
+		ev := l.ev.Reset(obs.KindRunStart, 0)
+		ev.Policy, ev.Seed = res.Policy, seed
+		obs.Emit(l.sink, ev)
+	}
 	var th routetable.Thresholds
 	if err := l.run(&th, compileFor(cfg.Policy, st, &th)); err != nil {
 		return nil, err
