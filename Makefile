@@ -102,7 +102,7 @@ altbench:
 # Short fuzz pass over the Erlang-B / Equation-15 invariants, the lazily
 # seeded random source's bit-identity with math/rand, the shared
 # admission kernel against the interpreted policies, the calendar
-# departure queue against a stable sort, the slab-batched arrival stream
+# event queue against a stable sort, the slab-batched arrival stream
 # against the heap merge it replaced, the pruned Erlang bound against
 # exhaustive cut evaluation, the route-table builders against the
 # per-pair reference, and the hand-written JSONL encoder against
@@ -114,7 +114,7 @@ fuzz-smoke:
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzProtectionLevel -fuzztime 10s
 	$(GO) test ./internal/xrand/ -run '^$$' -fuzz FuzzSourceMatchesStdlib -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDecideMatchesRoute -fuzztime 10s
-	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDepartureQueueMatchesReference -fuzztime 10s
+	$(GO) test ./internal/calendar/ -run '^$$' -fuzz FuzzQueueMatchesReference -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzStreamMatchesReference -fuzztime 10s
 	$(GO) test ./internal/bound/ -run '^$$' -fuzz FuzzErlangBoundMatchesExhaustive -fuzztime 10s
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzBuildMinHopMatchesReference -fuzztime 10s

@@ -196,6 +196,10 @@ func (e *Engine) Admit(now float64, callID int64, origin, dest graph.NodeID) (De
 	return Decision{CallID: callID, Admitted: true, Alternate: row != prim, Links: links, BlockedAt: graph.InvalidLink}, nil
 }
 
+// hops returns the hop count of an in-flight call's booked path (0 for
+// an unknown call).
+func (e *Engine) hops(callID int64) int { return len(e.inflight[callID]) }
+
 // Release retires a call and frees its booked path. A release for an
 // unknown id — including the second half of a double-release — returns
 // ErrUnknownCall and touches nothing; the non-panicking sim.TryRelease

@@ -133,3 +133,100 @@ func TestReplayEquivalence(t *testing.T) {
 	t.Logf("replayed %d decisions (%d admitted, %d blocked) bit-identically",
 		checked, res.Accepted, res.Blocked)
 }
+
+// TestServerEventsMatchSimStream drives a Server with a Buffer sink over
+// the request trace of TestReplayEquivalence and holds its event stream to
+// sim.Run's on the same calls: every admission and loss names the call's
+// origin and destination (and its hops or blocking link), and the
+// departures up to the horizon carry the departing path's hops in sim.Run's
+// order.
+func TestServerEventsMatchSimStream(t *testing.T) {
+	g := netmodel.Quadrangle()
+	pol := quadranglePolicy(t, g, 85)
+	const horizon = 12.0
+	tr := sim.GenerateTrace(traffic.Uniform(4, 85), horizon, 7)
+	want := obs.NewBuffer()
+	if _, err := sim.Run(sim.Config{Graph: g, Policy: pol, Trace: tr, Sink: want}); err != nil {
+		t.Fatal(err)
+	}
+	decided := map[int]obs.Event{}
+	var departed []int // hops of each departure, in drain order
+	for _, e := range want.Events() {
+		switch e.Kind {
+		case obs.KindCallAdmitted, obs.KindCallBlocked:
+			decided[e.Call] = e
+		case obs.KindCallDeparted:
+			departed = append(departed, e.Hops)
+		}
+	}
+
+	type req struct {
+		at      float64
+		release bool
+		c       sim.Call
+	}
+	var reqs []req
+	for _, c := range tr.Calls {
+		if c.Arrival >= horizon {
+			break
+		}
+		reqs = append(reqs, req{at: c.Arrival, c: c})
+		if decided[c.ID].Kind == obs.KindCallAdmitted {
+			reqs = append(reqs, req{at: c.Arrival + c.Holding, release: true, c: c})
+		}
+	}
+	sort.SliceStable(reqs, func(i, j int) bool {
+		if reqs[i].at != reqs[j].at {
+			return reqs[i].at < reqs[j].at
+		}
+		return reqs[i].release && !reqs[j].release
+	})
+	got := obs.NewBuffer()
+	srv, err := NewServer(Config{Graph: g, Policy: pol, Sink: got})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	for _, r := range reqs {
+		if r.release {
+			err = srv.Release(int64(r.c.ID), r.at, true)
+		} else {
+			_, err = srv.Admit(int64(r.c.ID), r.c.Origin, r.c.Dest, r.at, true)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Shutdown()
+
+	var decisions, blocked, k int
+	for _, e := range got.Events() {
+		switch e.Kind {
+		case obs.KindCallAdmitted, obs.KindCallBlocked:
+			w := decided[e.Call]
+			if e.Kind != w.Kind || e.Origin != w.Origin || e.Dest != w.Dest || e.Hops != w.Hops || e.Link != w.Link {
+				t.Fatalf("call %d: server %v %d→%d hops %d link %d, sim.Run %v %d→%d hops %d link %d",
+					e.Call, e.Kind, e.Origin, e.Dest, e.Hops, e.Link, w.Kind, w.Origin, w.Dest, w.Hops, w.Link)
+			}
+			decisions++
+			if e.Kind == obs.KindCallBlocked {
+				blocked++
+			}
+		case obs.KindCallDeparted:
+			if w := decided[e.Call]; e.Hops != w.Hops {
+				t.Fatalf("call %d departed with hops %d, admitted with %d", e.Call, e.Hops, w.Hops)
+			}
+			if e.Time > horizon {
+				continue
+			}
+			if k >= len(departed) || e.Hops != departed[k] {
+				t.Fatalf("departure %d (call %d) carries hops %d, sim.Run's %v", k, e.Call, e.Hops, departed[k:min(k+1, len(departed))])
+			}
+			k++
+		}
+	}
+	if decisions != len(decided) || k != len(departed) || blocked == 0 {
+		t.Fatalf("server emitted %d decisions (%d blocked) and %d departures to the horizon, sim.Run %d and %d",
+			decisions, blocked, k, len(decided), len(departed))
+	}
+}

@@ -240,15 +240,19 @@ func (s *Server) handle(r request) {
 				ev.Reset(obs.KindCallBlocked, at)
 				ev.Link = int(dec.BlockedAt)
 			}
-			ev.Call, ev.Measured = int(dec.CallID), true
+			ev.Call, ev.Origin, ev.Dest, ev.Measured = int(dec.CallID), int(r.admit.origin), int(r.admit.dest), true
 			obs.Emit(s.sink, ev)
 		}
 	case reqRelease:
 		at := s.stamp(r)
+		hops := 0
+		if instrumented {
+			hops = s.eng.hops(r.release)
+		}
 		rep.err = s.eng.Release(r.release)
 		if rep.err == nil && instrumented {
 			ev := s.ev.Reset(obs.KindCallDeparted, at)
-			ev.Call, ev.Measured = int(r.release), true
+			ev.Call, ev.Hops, ev.Measured = int(r.release), hops, true
 			obs.Emit(s.sink, ev)
 		}
 	case reqTopology:

@@ -8,7 +8,6 @@ import (
 	"repro/internal/erlang"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
-	"repro/internal/paths"
 	"repro/internal/policy"
 	"repro/internal/traffic"
 )
@@ -215,39 +214,6 @@ func TestGenerateTraceMultiClass(t *testing.T) {
 	}
 }
 
-func TestStateBandwidthAdmission(t *testing.T) {
-	g := graph.New()
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	id := g.MustAddLink(a, b, 10)
-	s := NewState(g)
-	if !s.AdmitsPrimary(id, 10) {
-		t.Error("idle link should admit bw=10")
-	}
-	if s.AdmitsPrimary(id, 11) {
-		t.Error("bw > C must be refused")
-	}
-	p := paths.Path{Nodes: []graph.NodeID{a, b}, Links: []graph.LinkID{id}}
-	s.occupy(p, 7)
-	if s.AdmitsPrimary(id, 4) {
-		t.Error("7+4 > 10 must be refused")
-	}
-	if !s.AdmitsPrimary(id, 3) {
-		t.Error("7+3 <= 10 must be admitted")
-	}
-	// Protection r=2: alternates need occ+bw <= 8.
-	if s.AdmitsAlternate(id, 2, 2) {
-		t.Error("7+2 > 8 must refuse alternate")
-	}
-	if !s.AdmitsAlternate(id, 1, 2) {
-		t.Error("7+1 <= 8 must admit alternate")
-	}
-	s.release(p, 7)
-	if s.Occupied(id) != 0 {
-		t.Errorf("occupied %d after release", s.Occupied(id))
-	}
-}
-
 func TestRunDisciplinesMultiRate(t *testing.T) {
 	g, tbl, classes := quadSetup(t, 55, 5) // bw-weighted ≈ 85 E/link
 	prot, err := DeriveProtection(g, tbl, classes)
@@ -393,32 +359,5 @@ func TestDisciplineString(t *testing.T) {
 	}
 	if Discipline(7).String() == "" {
 		t.Error("unknown discipline should render")
-	}
-}
-
-// TestPathAdmitsShortProtectionSlice: regression for the grown-topology
-// crash — a protection slice derived before links were added must degrade
-// to r = 0 on the new links, not index out of range.
-func TestPathAdmitsShortProtectionSlice(t *testing.T) {
-	g := graph.New()
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	c := g.AddNode("c")
-	old := g.MustAddLink(a, b, 10)
-	r := []int{3} // derived when only link `old` existed
-	grown := g.MustAddLink(b, c, 10)
-	s := NewState(g)
-	p := paths.Path{Nodes: []graph.NodeID{a, b, c}, Links: []graph.LinkID{old, grown}}
-	// Would panic on the unguarded r[grown] before the fix.
-	if !s.pathAdmits(p, 2, true, r) {
-		t.Error("idle path must admit an alternate under short r")
-	}
-	s.occupy(paths.Path{Links: []graph.LinkID{grown}}, 9)
-	if s.pathAdmits(p, 2, true, r) {
-		t.Error("grown link at 9/10 must refuse bw=2 even with r=0")
-	}
-	s.occupy(paths.Path{Links: []graph.LinkID{old}}, 7)
-	if s.pathAdmits(p, 1, true, r) {
-		t.Error("old link keeps its protection: 7+1 > 10-3")
 	}
 }

@@ -1,13 +1,15 @@
 package multirate
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 
+	"repro/internal/calendar"
 	"repro/internal/graph"
 	"repro/internal/paths"
 	"repro/internal/policy"
+	"repro/internal/routetable"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 	"repro/internal/xrand"
@@ -132,54 +134,6 @@ func NewState(g *graph.Graph) *State {
 	return &State{g: g, occ: make([]int, g.NumLinks())}
 }
 
-// Occupied returns the bandwidth in use on the link.
-func (s *State) Occupied(id graph.LinkID) int { return s.occ[id] }
-
-// AdmitsPrimary reports whether the link can carry bw more units.
-func (s *State) AdmitsPrimary(id graph.LinkID, bw int) bool {
-	if !s.g.Up(id) {
-		return false
-	}
-	return s.occ[id]+bw <= s.g.Link(id).Capacity
-}
-
-// AdmitsAlternate applies state protection in bandwidth units: the link
-// refuses an alternate call unless occupancy stays at or below C−r after
-// acceptance, mirroring the single-rate rule (occ+bw <= C−r).
-func (s *State) AdmitsAlternate(id graph.LinkID, bw, r int) bool {
-	if !s.g.Up(id) {
-		return false
-	}
-	c := s.g.Link(id).Capacity
-	if r < 0 {
-		r = 0
-	}
-	if r > c {
-		r = c
-	}
-	return s.occ[id]+bw <= c-r
-}
-
-// pathAdmits checks every link of the path; for alternates, protection
-// levels beyond the end of r (topology grown after scheme derivation)
-// count as r = 0 rather than panicking.
-func (s *State) pathAdmits(p paths.Path, bw int, alt bool, r []int) bool {
-	for _, id := range p.Links {
-		if alt {
-			prot := 0
-			if uint(id) < uint(len(r)) {
-				prot = r[id]
-			}
-			if !s.AdmitsAlternate(id, bw, prot) {
-				return false
-			}
-		} else if !s.AdmitsPrimary(id, bw) {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *State) occupy(p paths.Path, bw int) {
 	for _, id := range p.Links {
 		if s.occ[id]+bw > s.g.Link(id).Capacity {
@@ -268,59 +222,91 @@ func (r *Result) ClassBlockingProb(j int) float64 {
 	return float64(r.ByClassBlocked[j]) / float64(r.ByClassOffered[j])
 }
 
-type departure struct {
-	at   float64
-	path paths.Path
-	bw   int
-}
-
-type depHeap []departure
-
-func (h depHeap) Len() int            { return len(h) }
-func (h depHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h depHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *depHeap) Push(x interface{}) { *h = append(*h, x.(departure)) }
-func (h *depHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	d := old[n-1]
-	*h = old[:n-1]
-	return d
-}
-
-// Run replays the trace under the configured discipline.
+// Run replays the trace under the configured discipline. Admission runs
+// the one kernel every engine shares, routetable.Thresholds.Decide, over
+// the table compiled as the discipline's policy compiles it: a call of
+// bandwidth bw fits on a link iff occ + bw ≤ C − clamp(r), which is the
+// kernel's occ ≤ C' − clamp(r) − 1 at the shifted capacity C' = C − bw + 1
+// (a clamp of r into [0, C'] rather than [0, C] moves no decision: every
+// r ≥ C' refuses the call either way), so Run binds one threshold set per
+// distinct bandwidth. Departures wait on the calendar queue; every
+// departure at or before an arrival is released before that arrival is
+// decided, and releases commute, so their order among themselves moves
+// no result.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Graph == nil || cfg.Table == nil || cfg.Trace == nil {
 		return nil, fmt.Errorf("multirate: incomplete config")
 	}
-	if cfg.Discipline == Controlled && len(cfg.Protection) != cfg.Graph.NumLinks() {
+	g := cfg.Graph
+	if cfg.Discipline == Controlled && len(cfg.Protection) != g.NumLinks() {
 		return nil, fmt.Errorf("multirate: protection length %d for %d links",
-			len(cfg.Protection), cfg.Graph.NumLinks())
+			len(cfg.Protection), g.NumLinks())
 	}
-	if cfg.Warmup < 0 || cfg.Warmup >= cfg.Trace.Horizon {
-		return nil, fmt.Errorf("multirate: warmup %v outside [0, %v)", cfg.Warmup, cfg.Trace.Horizon)
+	horizon := cfg.Trace.Horizon
+	if !(horizon > 0 && horizon <= math.MaxFloat64) {
+		return nil, fmt.Errorf("multirate: trace horizon %v must be finite and positive", horizon)
 	}
+	if !(cfg.Warmup >= 0 && cfg.Warmup < horizon) {
+		return nil, fmt.Errorf("multirate: warmup %v outside [0, %v)", cfg.Warmup, horizon)
+	}
+	var comp *routetable.Compiled
+	var ok bool
+	switch cfg.Discipline {
+	case SinglePath:
+		comp, ok = policy.SinglePath{T: cfg.Table}.CompileRoutes()
+	case Uncontrolled:
+		comp, ok = policy.Uncontrolled{T: cfg.Table}.CompileRoutes()
+	case Controlled:
+		comp, ok = policy.Controlled{T: cfg.Table, R: cfg.Protection}.CompileRoutes()
+	default:
+		return nil, fmt.Errorf("multirate: unknown %v", cfg.Discipline)
+	}
+	if !ok {
+		return nil, fmt.Errorf("multirate: route table does not compile (a route leaves the graph)")
+	}
+	// One pass checks every call, finds the last arrival — no departure
+	// after it can reach a decision — and binds one threshold set per
+	// distinct bandwidth.
 	nClasses := 0
+	var rules []bwRule
 	for _, c := range cfg.Trace.Calls {
-		if err := c.check(cfg.Graph.NumNodes()); err != nil {
+		if err := c.check(g.NumNodes()); err != nil {
 			return nil, err
 		}
-		if c.Class+1 > nClasses {
-			nClasses = c.Class + 1
+		nClasses = max(nClasses, c.Class+1)
+		horizon = max(horizon, c.Arrival)
+		if ruleOf(rules, c.Bandwidth) >= 0 {
+			continue
+		}
+		rules = append(rules, bwRule{bw: c.Bandwidth})
+		if !bind(&rules[len(rules)-1].th, comp, g, c.Bandwidth) {
+			return nil, fmt.Errorf("multirate: route table does not match the graph")
 		}
 	}
-	st := NewState(cfg.Graph)
+	st := NewState(g)
 	res := &Result{
 		Discipline:     cfg.Discipline,
 		ByClassOffered: make([]int64, nClasses),
 		ByClassBlocked: make([]int64, nClasses),
 	}
-	deps := &depHeap{}
-	heap.Init(deps)
+	// A departure entry names its row (Ref, −1 for the empty path) and
+	// its bandwidth rule (N).
+	var deps calendar.Queue
+	deps.Init(horizon)
+	path := func(row int32) paths.Path {
+		if row == routetable.NoRow {
+			return paths.Path{}
+		}
+		return paths.Path{Links: comp.Row(row)}
+	}
+	n := g.NumNodes()
 	for _, c := range cfg.Trace.Calls {
-		for deps.Len() > 0 && (*deps)[0].at <= c.Arrival {
-			d := heap.Pop(deps).(departure)
-			st.release(d.path, d.bw)
+		for {
+			d, ok := deps.PopTo(c.Arrival)
+			if !ok {
+				break
+			}
+			st.release(path(d.Ref), rules[d.N].bw)
 		}
 		measured := c.Arrival >= cfg.Warmup
 		if measured {
@@ -328,28 +314,9 @@ func Run(cfg Config) (*Result, error) {
 			res.ByClassOffered[c.Class]++
 			res.BandwidthOffered += int64(c.Bandwidth)
 		}
-		// SelectPrimary keys on the single-rate call ID for bifurcated
-		// primaries; classes share route suites.
-		prim := cfg.Table.SelectPrimary(sim.Call{ID: c.ID, Origin: c.Origin, Dest: c.Dest})
-		var chosen paths.Path
-		admitted := false
-		alternate := false
-		if st.pathAdmits(prim, c.Bandwidth, false, nil) {
-			chosen, admitted = prim, true
-		} else if cfg.Discipline != SinglePath {
-			for _, alt := range cfg.Table.AlternatesOf(sim.Call{ID: c.ID, Origin: c.Origin, Dest: c.Dest}) {
-				useProt := cfg.Discipline == Controlled
-				var r []int
-				if useProt {
-					r = cfg.Protection
-				}
-				if st.pathAdmits(alt, c.Bandwidth, true, r) {
-					chosen, admitted, alternate = alt, true, true
-					break
-				}
-			}
-		}
-		if !admitted {
+		rule := ruleOf(rules, c.Bandwidth)
+		prim, row, _ := rules[rule].th.Decide(st.occ, int(c.Origin)*n+int(c.Dest), int64(c.ID))
+		if prim != routetable.NoRow && row == routetable.NoRow {
 			if measured {
 				res.Blocked++
 				res.ByClassBlocked[c.Class]++
@@ -357,16 +324,44 @@ func Run(cfg Config) (*Result, error) {
 			}
 			continue
 		}
-		st.occupy(chosen, c.Bandwidth)
-		heap.Push(deps, departure{at: c.Arrival + c.Holding, path: chosen, bw: c.Bandwidth})
+		// A pair without primaries is carried on the empty path (row is
+		// NoRow too), booking nothing.
+		st.occupy(path(row), c.Bandwidth)
+		deps.Insert(calendar.Entry{At: c.Arrival + c.Holding, Ref: row, N: int32(rule)})
 		if measured {
 			res.Accepted++
-			if alternate {
+			if row != prim {
 				res.AlternateAccepted++
 			}
 		}
 	}
 	return res, nil
+}
+
+// bind binds th to comp over g at bandwidth bw's shifted capacities
+// C − bw + 1, reporting false when the table does not match the graph.
+func bind(th *routetable.Thresholds, comp *routetable.Compiled, g *graph.Graph, bw int) bool {
+	return th.Reset(comp, g.NumNodes(), g.NumLinks(), func(id graph.LinkID) (int, bool) {
+		return g.Link(id).Capacity - bw + 1, g.Up(id)
+	})
+}
+
+// bwRule is the admission kernel bound at one call bandwidth's shifted
+// capacities.
+type bwRule struct {
+	bw int
+	th routetable.Thresholds
+}
+
+// ruleOf returns the index of bandwidth bw's rule, or −1; a trace carries
+// a few distinct bandwidths.
+func ruleOf(rules []bwRule, bw int) int {
+	for i := range rules {
+		if rules[i].bw == bw {
+			return i
+		}
+	}
+	return -1
 }
 
 // LinkClassLoads computes, per link, the offered ClassLoad vector implied by

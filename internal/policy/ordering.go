@@ -69,10 +69,12 @@ func (p ControlledTiered) Attempt(c sim.Call, i int) (paths.Path, bool, bool) {
 	return paths.Path{}, false, false
 }
 
-// AdmitsHop implements sim.AttemptPolicy. The signaling runner does not
-// carry the attempt's path, so the hop rule uses the stricter (long-class)
-// levels for alternates — a conservative approximation documented here; the
-// instantaneous runner applies the exact per-length rule.
+// AdmitsHop implements sim.AttemptPolicy. The signaling runner carries
+// the attempt's path, but AdmitsHop's signature passes only the link, so
+// the hop rule cannot see the path's length and uses the stricter
+// (long-class) levels for alternates — a conservative approximation
+// documented here; the instantaneous runner applies the exact per-length
+// rule.
 func (p ControlledTiered) AdmitsHop(s *sim.State, id graph.LinkID, alternate bool) bool {
 	if !alternate {
 		return s.AdmitsPrimary(id)

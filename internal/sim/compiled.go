@@ -49,7 +49,7 @@ func CompilesFor(p Policy, g *graph.Graph) bool {
 // (+Inf when none), the scalar guards the event loop compares each
 // arrival against instead of re-reading the queue.
 func (l *loop) nextEpochs() (dep, plan float64) {
-	dep, plan = l.deps.next(), math.Inf(1)
+	dep, plan = l.deps.cal.Next(), math.Inf(1)
 	if l.pi < len(l.plan) {
 		plan = l.plan[l.pi].Epoch
 	}

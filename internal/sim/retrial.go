@@ -1,11 +1,10 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
-	"repro/internal/graph"
-	"repro/internal/paths"
+	"repro/internal/calendar"
 	"repro/internal/xrand"
 )
 
@@ -44,42 +43,21 @@ type RetrialResult struct {
 	Retries, RetrySuccesses int64
 }
 
-// retrialEvent is either a fresh arrival (attempt == 0) or a retry.
-type retrialEvent struct {
-	at      float64
-	seq     int64
-	call    Call
-	attempt int
-	release bool // true for departures
-	path    int  // index into active paths for releases
-}
-
-type retrialHeap []retrialEvent
-
-func (h retrialHeap) Len() int { return len(h) }
-func (h retrialHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h retrialHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *retrialHeap) Push(x interface{}) { *h = append(*h, x.(retrialEvent)) }
-func (h *retrialHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// RunWithRetrials replays the trace with blocked-call retrials.
+// RunWithRetrials replays the trace with blocked-call retrials. Arrivals
+// are read from the trace in order; the calendar queue holds only the
+// events in flight — departures (a pooled path, Ref < 0) and pending
+// retries (trace index Ref, attempt N). Queued events strictly before an
+// arrival run first, and equal epochs pop in push order, so every event
+// runs in (epoch, arrival-before-queued, push) order.
 func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 	if cfg.Graph == nil || cfg.Policy == nil || cfg.Trace == nil {
 		return nil, fmt.Errorf("sim: incomplete config")
 	}
-	if cfg.RetryProbability < 0 || cfg.RetryProbability > 1 {
-		return nil, fmt.Errorf("sim: retry probability %v", cfg.RetryProbability)
+	if !(cfg.RetryProbability >= 0 && cfg.RetryProbability <= 1) {
+		return nil, fmt.Errorf("sim: retry probability %v outside [0, 1]", cfg.RetryProbability)
+	}
+	if math.IsNaN(cfg.MeanBackoff) || math.IsInf(cfg.MeanBackoff, 1) {
+		return nil, fmt.Errorf("sim: mean back-off %v must be finite", cfg.MeanBackoff)
 	}
 	if cfg.MeanBackoff <= 0 {
 		cfg.MeanBackoff = 0.1
@@ -87,68 +65,44 @@ func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 10
 	}
+	// Attempts are counted in the queue entry's int32.
+	cfg.MaxAttempts = min(cfg.MaxAttempts, math.MaxInt32)
+	calls := cfg.Trace.Calls
+	if len(calls) > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: %d calls exceed the retrial queue's int32 index", len(calls))
+	}
 	horizon, err := cfg.window(cfg.Trace.Horizon)
 	if err != nil {
 		return nil, err
 	}
 
 	st := NewState(cfg.Graph)
-	res := &RetrialResult{Result: Result{
-		Policy:         cfg.Policy.Name(),
-		PerPairOffered: make(map[[2]graph.NodeID]int64),
-		PerPairBlocked: make(map[[2]graph.NodeID]int64),
-		LostAtLink:     make([]int64, cfg.Graph.NumLinks()),
-		LinkTimeUtil:   make([]float64, cfg.Graph.NumLinks()),
-	}}
+	res := &RetrialResult{Result: cfg.eventResult()}
 	rng := xrand.New(cfg.Seed, 271828)
-
-	events := &retrialHeap{}
-	heap.Init(events)
-	var seq int64
-	push := func(e retrialEvent) {
-		seq++
-		e.seq = seq
-		heap.Push(events, e)
-	}
-	for _, c := range cfg.Trace.Calls {
-		if err := c.Check(cfg.Graph.NumNodes()); err != nil {
-			return nil, err
-		}
-		if c.Arrival >= horizon {
-			break
-		}
-		push(retrialEvent{at: c.Arrival, call: c})
-	}
-	// Active call paths for releases (index-addressed to keep events small).
-	var activePaths []paths.Path
-
+	// Retries are only scheduled before the horizon, and a departure past
+	// it reaches no counter, so the queue keeps nothing later.
+	var q departureQueue
+	q.init(horizon, false)
 	measured := func(c Call) bool { return c.Arrival >= cfg.Warmup && c.Arrival < horizon }
-
 	util := occupancyIntegral{st: st, util: res.LinkTimeUtil, warmup: cfg.Warmup, horizon: horizon}
-	for events.Len() > 0 {
-		e := heap.Pop(events).(retrialEvent)
-		util.advance(e.at)
-		if e.release {
-			st.Release(activePaths[e.path])
-			continue
+
+	// try offers call i's attempt k at epoch now.
+	try := func(now float64, i, k int32) {
+		c := calls[i]
+		if measured(c) && k == 0 {
+			res.offer(c)
 		}
-		c := e.call
-		if measured(c) && e.attempt == 0 {
-			res.Offered++
-			res.PerPairOffered[[2]graph.NodeID{c.Origin, c.Dest}]++
-		}
-		if measured(c) && e.attempt > 0 {
+		if measured(c) && k > 0 {
 			res.Retries++
 		}
 		// The routing decision uses the retry epoch's state; the Call keeps
 		// its original arrival time for measurement bucketing.
 		decision := c
-		decision.Arrival = e.at
+		decision.Arrival = now
 		p, alternate, ok := cfg.Policy.Route(st, decision)
 		if ok {
 			st.Occupy(p)
-			activePaths = append(activePaths, p)
-			push(retrialEvent{at: e.at + c.Holding, release: true, path: len(activePaths) - 1})
+			q.push(now+c.Holding, p, depMeta{})
 			if measured(c) {
 				res.Accepted++
 				res.CarriedHopCount += int64(p.Hops())
@@ -157,30 +111,52 @@ func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 				} else {
 					res.PrimaryAccepted++
 				}
-				if e.attempt > 0 {
+				if k > 0 {
 					res.RetrySuccesses++
 				}
 			}
-			continue
+			return
 		}
 		// Blocked attempt: maybe retry.
-		if e.attempt+1 < cfg.MaxAttempts && rng.Float64() < cfg.RetryProbability {
+		if int(k)+1 < cfg.MaxAttempts && rng.Float64() < cfg.RetryProbability {
 			backoff := xrand.Exp(rng, cfg.MeanBackoff)
-			if e.at+backoff < horizon {
-				push(retrialEvent{at: e.at + backoff, call: c, attempt: e.attempt + 1})
-				continue
+			if now+backoff < horizon {
+				q.cal.Insert(calendar.Entry{At: now + backoff, Ref: i, N: k + 1})
+				return
 			}
 		}
 		// Definitively lost.
 		if measured(c) {
-			res.Blocked++
-			res.PerPairBlocked[[2]graph.NodeID{c.Origin, c.Dest}]++
-			primary := cfg.Policy.PrimaryPath(st, decision)
-			if admitted, blockLink := st.PathAdmitsPrimary(primary); !admitted && blockLink != graph.InvalidLink {
-				res.LostAtLink[blockLink]++
+			res.lose(st, cfg.Policy, decision)
+		}
+	}
+	// drain runs every queued event at or before epoch.
+	drain := func(epoch float64) {
+		for {
+			e, ok := q.cal.PopTo(epoch)
+			if !ok {
+				return
+			}
+			util.advance(e.At)
+			if e.Ref < 0 {
+				st.Release(q.release(e))
+			} else {
+				try(e.At, e.Ref, e.N)
 			}
 		}
 	}
+	for i, c := range calls {
+		if err := c.Check(cfg.Graph.NumNodes()); err != nil {
+			return nil, err
+		}
+		if c.Arrival >= horizon {
+			break
+		}
+		drain(math.Nextafter(c.Arrival, math.Inf(-1)))
+		util.advance(c.Arrival)
+		try(c.Arrival, int32(i), 0)
+	}
+	drain(horizon)
 	res.Span = util.finish()
 	return res, nil
 }

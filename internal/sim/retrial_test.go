@@ -112,3 +112,27 @@ func TestRetrialValidation(t *testing.T) {
 		t.Error("warmup past horizon: want error")
 	}
 }
+
+// TestRetrialRejectsNonFiniteInputs: a NaN or infinite back-off, or a NaN
+// retry probability, passes the ordered comparisons of a range check and
+// would silently turn every retry into a loss; each must be an error.
+func TestRetrialRejectsNonFiniteInputs(t *testing.T) {
+	g, p, m := retrialFixture(t)
+	tr := GenerateTrace(m, 20, 1)
+	for _, c := range []struct {
+		name          string
+		prob, backoff float64
+	}{
+		{"NaN back-off", 0.5, math.NaN()},
+		{"infinite back-off", 0.5, math.Inf(1)},
+		{"NaN retry probability", math.NaN(), 0.2},
+	} {
+		if _, err := RunWithRetrials(RetrialConfig{
+			Config:           Config{Graph: g, Policy: fixedPolicy{p}, Trace: tr},
+			RetryProbability: c.prob,
+			MeanBackoff:      c.backoff,
+		}); err == nil {
+			t.Errorf("%s: want error", c.name)
+		}
+	}
+}

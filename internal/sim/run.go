@@ -443,7 +443,7 @@ func (l *loop) drainFast(epoch float64) {
 	lastF := l.last[:len(occ)]
 	warm, hor := l.cfg.Warmup, l.horizon
 	for {
-		e, ok := q.popTo(epoch)
+		e, ok := q.cal.PopTo(epoch)
 		if !ok {
 			break
 		}
@@ -455,7 +455,7 @@ func (l *loop) drainFast(epoch float64) {
 			if lo < warm {
 				lo = warm
 			}
-			hi := e.at
+			hi := e.At
 			if hi > hor {
 				hi = hor
 			}
@@ -463,7 +463,7 @@ func (l *loop) drainFast(epoch float64) {
 			if hi > lo && o != 0 {
 				util[id] += (hi - lo) * float64(o)
 			}
-			lastF[id] = e.at
+			lastF[id] = e.At
 			if o <= 0 {
 				panic(fmt.Errorf("sim: releasing idle link %d", id))
 			}
@@ -476,15 +476,15 @@ func (l *loop) drainFast(epoch float64) {
 // (departures-first tie rule) or an instrumented run's departure events.
 func (l *loop) drainPlanTo(epoch float64) {
 	for {
-		if l.pi < len(l.plan) && l.plan[l.pi].Epoch <= epoch && !(l.deps.next() <= l.plan[l.pi].Epoch) {
+		if l.pi < len(l.plan) && l.plan[l.pi].Epoch <= epoch && !(l.deps.cal.Next() <= l.plan[l.pi].Epoch) {
 			l.applyPlanGroup()
 			continue
 		}
-		e, ok := l.deps.popTo(epoch)
+		e, ok := l.deps.cal.PopTo(epoch)
 		if !ok {
 			break
 		}
-		l.departed(e.at, l.deps.release(e))
+		l.departed(e.At, l.deps.release(e))
 	}
 }
 

@@ -1,9 +1,10 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
+	"repro/internal/calendar"
 	"repro/internal/graph"
 	"repro/internal/paths"
 )
@@ -35,48 +36,21 @@ type SignalingResult struct {
 	SetupRTTSum float64
 }
 
-// signaling event kinds.
-type sigKind int
-
+// Signaling event kinds, the low two bits of a queued entry's N (the hop
+// is N>>2); Ref names the call's slot.
 const (
-	sigArrival sigKind = iota
-	sigCheck           // forward pass reaches hop i of the current attempt
-	sigBook            // reverse pass books hop i
-	sigRelease         // call departure
+	sigCheck   = iota // forward pass reaches hop N>>2 of the current attempt
+	sigBook           // reverse pass books hop N>>2
+	sigRelease        // call departure
 )
 
-type sigEvent struct {
-	at   float64
-	kind sigKind
-	seq  int64 // tie-break for determinism
-	call *sigCall
-	hop  int
-	path paths.Path
-}
-
-type sigCall struct {
-	Call
-	attempt      int  // index into candidate paths tried so far
-	curAlternate bool // whether the in-flight attempt is an alternate
-}
-
-type sigHeap []sigEvent
-
-func (h sigHeap) Len() int { return len(h) }
-func (h sigHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h sigHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *sigHeap) Push(x interface{}) { *h = append(*h, x.(sigEvent)) }
-func (h *sigHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// sigSlot is one call in flight under the signaling runner: set-up events
+// and the departure index it, so a queued entry carries no path.
+type sigSlot struct {
+	path      paths.Path // the current attempt's path
+	call      int32      // index into the trace
+	attempt   int32      // candidates tried so far
+	alternate bool       // whether the current attempt is an alternate
 }
 
 // AttemptPolicy supplies the sequence of candidate paths a call tries under
@@ -86,7 +60,9 @@ type AttemptPolicy interface {
 	Policy
 	// Attempt returns the i-th candidate path for the call (i=0 is the
 	// primary) and whether that path is subject to the alternate admission
-	// rule; ok=false when the suite is exhausted.
+	// rule; ok=false when the suite is exhausted. It must depend only on
+	// its arguments: the runner enumerates each call's candidates before
+	// the run to bound its set-up events.
 	Attempt(c Call, i int) (p paths.Path, alternate bool, ok bool)
 	// AdmitsHop reports whether the given link currently admits the call on
 	// a (possibly alternate) attempt, under the policy's rule.
@@ -94,6 +70,11 @@ type AttemptPolicy interface {
 }
 
 // RunSignaling replays the trace with explicit two-phase call set-up.
+// Arrivals are read from the trace in order; the calendar queue holds only
+// the events in flight, each naming its call's slot. Queued events
+// strictly before an arrival run first, and equal epochs pop in push
+// order, so every event runs in (epoch, arrival-before-queued, push)
+// order.
 func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 	if cfg.Graph == nil || cfg.Policy == nil || cfg.Trace == nil {
 		return nil, fmt.Errorf("sim: incomplete config")
@@ -102,135 +83,208 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: policy %s does not support signaling attempts", cfg.Policy.Name())
 	}
-	if cfg.HopDelay < 0 {
-		return nil, fmt.Errorf("sim: negative hop delay")
+	d := cfg.HopDelay
+	if !(d >= 0 && d <= math.MaxFloat64) {
+		return nil, fmt.Errorf("sim: hop delay %v must be finite and non-negative", d)
 	}
 	horizon, err := cfg.window(cfg.Trace.Horizon)
 	if err != nil {
 		return nil, err
 	}
-
-	st := NewState(cfg.Graph)
-	res := &SignalingResult{Result: Result{
-		Policy:         cfg.Policy.Name(),
-		PerPairOffered: make(map[[2]graph.NodeID]int64),
-		PerPairBlocked: make(map[[2]graph.NodeID]int64),
-		LostAtLink:     make([]int64, cfg.Graph.NumLinks()),
-		LinkTimeUtil:   make([]float64, cfg.Graph.NumLinks()),
-	}}
-
-	events := &sigHeap{}
-	heap.Init(events)
-	var seq int64
-	push := func(e sigEvent) {
-		seq++
-		e.seq = seq
-		heap.Push(events, e)
+	calls := cfg.Trace.Calls
+	if len(calls) > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: %d calls exceed the signaling queue's int32 index", len(calls))
 	}
-	for i := range cfg.Trace.Calls {
-		c := cfg.Trace.Calls[i]
+	// Check the calls before the horizon and find the longest set-up chain
+	// one call can schedule: attempt k's forward pass and booking pass take
+	// 2·hops_k+1 hop delays at most. Every set-up event lies within that
+	// many additions of d past an arrival before the horizon, so the queue
+	// covers them all; a departure past that bound can free capacity for
+	// no later set-up event and reaches no counter. Rounded addition is
+	// monotone, so adding d step by step from the horizon bounds every
+	// event epoch exactly.
+	arrivals, steps := 0, 0
+	for _, c := range calls {
 		if err := c.Check(cfg.Graph.NumNodes()); err != nil {
 			return nil, err
 		}
 		if c.Arrival >= horizon {
 			break
 		}
-		push(sigEvent{at: c.Arrival, kind: sigArrival, call: &sigCall{Call: c}})
+		arrivals++
+		if d == 0 {
+			continue
+		}
+		n := 0
+		for k := 0; ; k++ {
+			p, _, ok := ap.Attempt(c, k)
+			if !ok {
+				break
+			}
+			n += 2*p.Hops() + 1
+		}
+		steps = max(steps, n)
+	}
+	bound := horizon
+	for range steps {
+		bound += d
+	}
+	if math.IsInf(bound, 0) {
+		return nil, fmt.Errorf("sim: hop delay %v overflows the set-up horizon", d)
 	}
 
-	measured := func(c *sigCall) bool { return c.Arrival >= cfg.Warmup && c.Arrival < horizon }
-	block := func(c *sigCall) {
-		if !measured(c) {
-			return
-		}
-		res.Blocked++
-		res.PerPairBlocked[[2]graph.NodeID{c.Origin, c.Dest}]++
-		primary := ap.PrimaryPath(st, c.Call)
-		if admitted, blockLink := st.PathAdmitsPrimary(primary); !admitted && blockLink != graph.InvalidLink {
-			res.LostAtLink[blockLink]++
-		}
+	st := NewState(cfg.Graph)
+	res := &SignalingResult{Result: cfg.eventResult()}
+
+	var q calendar.Queue
+	q.Init(bound)
+	var slots []sigSlot
+	var free []int32
+	push := func(at float64, s int32, kind, hop int) {
+		q.Insert(calendar.Entry{At: at, Ref: s, N: int32(hop<<2 | kind)})
 	}
 
+	measured := func(c Call) bool { return c.Arrival >= cfg.Warmup && c.Arrival < horizon }
 	// startAttempt launches the forward pass of the call's next candidate,
 	// or records a block when the suite is exhausted.
-	var startAttempt func(now float64, c *sigCall)
-	startAttempt = func(now float64, c *sigCall) {
-		p, alternate, ok := ap.Attempt(c.Call, c.attempt)
-		c.attempt++
+	startAttempt := func(now float64, s int32) {
+		sl := &slots[s]
+		c := calls[sl.call]
+		p, alternate, ok := ap.Attempt(c, int(sl.attempt))
+		sl.attempt++
 		if !ok {
-			block(c)
+			if measured(c) {
+				res.lose(st, ap, c)
+			}
+			free = append(free, s)
 			return
 		}
-		c.curAlternate = alternate
-		push(sigEvent{at: now + cfg.HopDelay, kind: sigCheck, call: c, hop: 0, path: p})
+		sl.path, sl.alternate = p, alternate
+		push(now+d, s, sigCheck, 0)
+	}
+	// commence books the call's tally once its path is fully booked and
+	// schedules its departure.
+	commence := func(now float64, s int32) {
+		sl := &slots[s]
+		c := calls[sl.call]
+		if measured(c) {
+			res.Accepted++
+			res.CarriedHopCount += int64(sl.path.Hops())
+			res.SetupRTTSum += now - c.Arrival
+			if sl.alternate {
+				res.AlternateAccepted++
+			} else {
+				res.PrimaryAccepted++
+			}
+		}
+		push(now+c.Holding, s, sigRelease, 0)
 	}
 
 	util := occupancyIntegral{st: st, util: res.LinkTimeUtil, warmup: cfg.Warmup, horizon: horizon}
-
-	for events.Len() > 0 {
-		e := heap.Pop(events).(sigEvent)
-		util.advance(e.at)
-		switch e.kind {
-		case sigArrival:
-			if measured(e.call) {
-				res.Offered++
-				res.PerPairOffered[[2]graph.NodeID{e.call.Origin, e.call.Dest}]++
+	drain := func(epoch float64) {
+		for {
+			e, ok := q.PopTo(epoch)
+			if !ok {
+				return
 			}
-			startAttempt(e.at, e.call)
-
-		case sigCheck:
-			p := e.path
-			if e.hop < p.Hops() {
-				id := p.Links[e.hop]
-				if !ap.AdmitsHop(st, id, e.call.curAlternate) {
-					// Forward check failed: try the next candidate now.
-					startAttempt(e.at, e.call)
+			util.advance(e.At)
+			s, hop := e.Ref, int(e.N>>2)
+			p := slots[s].path
+			switch e.N & 3 {
+			case sigCheck:
+				if hop < p.Hops() {
+					if !ap.AdmitsHop(st, p.Links[hop], slots[s].alternate) {
+						// Forward check failed: try the next candidate now.
+						startAttempt(e.At, s)
+						break
+					}
+					push(e.At+d, s, sigCheck, hop+1)
 					break
 				}
-				push(sigEvent{at: e.at + cfg.HopDelay, kind: sigCheck, call: e.call, hop: e.hop + 1, path: p})
-				break
-			}
-			// Reached the destination: book backward starting with the last
-			// link.
-			push(sigEvent{at: e.at + cfg.HopDelay, kind: sigBook, call: e.call, hop: p.Hops() - 1, path: p})
-
-		case sigBook:
-			p := e.path
-			id := p.Links[e.hop]
-			if st.Free(id) < 1 {
-				// Race lost: release downstream bookings (hops > e.hop) and
-				// move to the next candidate.
-				res.BookingFailures++
-				for h := e.hop + 1; h < p.Hops(); h++ {
-					st.ReleaseLink(p.Links[h])
+				if p.Hops() == 0 {
+					// A zero-hop candidate books nothing: the call
+					// commences when the check reaches its destination.
+					commence(e.At, s)
+					break
 				}
-				startAttempt(e.at, e.call)
-				break
-			}
-			st.OccupyLink(id)
-			if e.hop > 0 {
-				push(sigEvent{at: e.at + cfg.HopDelay, kind: sigBook, call: e.call, hop: e.hop - 1, path: p})
-				break
-			}
-			// Booking complete: the call commences.
-			if measured(e.call) {
-				res.Accepted++
-				res.CarriedHopCount += int64(p.Hops())
-				res.SetupRTTSum += e.at - e.call.Arrival
-				if e.call.curAlternate {
-					res.AlternateAccepted++
-				} else {
-					res.PrimaryAccepted++
-				}
-			}
-			push(sigEvent{at: e.at + e.call.Holding, kind: sigRelease, call: e.call, path: p})
+				// Reached the destination: book backward starting with the
+				// last link.
+				push(e.At+d, s, sigBook, p.Hops()-1)
 
-		case sigRelease:
-			st.Release(e.path)
+			case sigBook:
+				id := p.Links[hop]
+				if st.Free(id) < 1 {
+					// Race lost: release downstream bookings (hops > hop)
+					// and move to the next candidate.
+					res.BookingFailures++
+					for h := hop + 1; h < p.Hops(); h++ {
+						st.ReleaseLink(p.Links[h])
+					}
+					startAttempt(e.At, s)
+					break
+				}
+				st.OccupyLink(id)
+				if hop > 0 {
+					push(e.At+d, s, sigBook, hop-1)
+					break
+				}
+				// Booking complete: the call commences.
+				commence(e.At, s)
+
+			case sigRelease:
+				st.Release(p)
+				free = append(free, s)
+			}
 		}
 	}
+
+	for i, c := range calls[:arrivals] {
+		drain(math.Nextafter(c.Arrival, math.Inf(-1)))
+		util.advance(c.Arrival)
+		if measured(c) {
+			res.offer(c)
+		}
+		var s int32
+		if n := len(free); n > 0 {
+			s, free = free[n-1], free[:n-1]
+			slots[s] = sigSlot{call: int32(i)}
+		} else {
+			s = int32(len(slots))
+			slots = append(slots, sigSlot{call: int32(i)})
+		}
+		startAttempt(c.Arrival, s)
+	}
+	drain(bound)
 	res.Span = util.finish()
 	return res, nil
+}
+
+// eventResult returns the empty Result RunWithRetrials and RunSignaling
+// count into.
+func (cfg *Config) eventResult() Result {
+	return Result{
+		Policy:         cfg.Policy.Name(),
+		PerPairOffered: make(map[[2]graph.NodeID]int64),
+		PerPairBlocked: make(map[[2]graph.NodeID]int64),
+		LostAtLink:     make([]int64, cfg.Graph.NumLinks()),
+		LinkTimeUtil:   make([]float64, cfg.Graph.NumLinks()),
+	}
+}
+
+// offer counts a measured call's first offer.
+func (r *Result) offer(c Call) {
+	r.Offered++
+	r.PerPairOffered[[2]graph.NodeID{c.Origin, c.Dest}]++
+}
+
+// lose counts a measured call's definitive loss, attributed to the first
+// blocking link of its primary path (the paper's convention).
+func (r *Result) lose(st *State, pol Policy, c Call) {
+	r.Blocked++
+	r.PerPairBlocked[[2]graph.NodeID{c.Origin, c.Dest}]++
+	if admitted, at := st.PathAdmitsPrimary(pol.PrimaryPath(st, c)); !admitted && at != graph.InvalidLink {
+		r.LostAtLink[at]++
+	}
 }
 
 // occupancyIntegral integrates every link's occupancy over the measurement

@@ -186,3 +186,48 @@ func TestSignalingValidation(t *testing.T) {
 		t.Error("empty config: want error")
 	}
 }
+
+// TestSignalingRejectsNonFiniteDelay: a NaN hop delay passes a sign check
+// and puts every set-up event at a NaN epoch (a heap engine then admitted
+// every call of signalingFixture at 9 Erlangs on a 10-circuit link); an
+// infinite one, or a finite one whose set-up chains overflow past the
+// horizon, schedules events no queue can order. Each must be an error.
+func TestSignalingRejectsNonFiniteDelay(t *testing.T) {
+	g, primary, alt, m := signalingFixture(t)
+	pol := twoAttempt{primary: primary, alt: alt}
+	tr := GenerateTrace(m, 30, 1)
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.MaxFloat64} {
+		if _, err := RunSignaling(SignalingConfig{
+			Config: Config{Graph: g, Policy: pol, Trace: tr}, HopDelay: d,
+		}); err == nil {
+			t.Errorf("hop delay %v: want error", d)
+		}
+	}
+}
+
+// TestSignalingZeroHopCandidateCommences: a candidate with no links (the
+// empty path a table yields for a pair without primaries) books nothing,
+// so the call commences when its check reaches the destination and is
+// carried as Run carries it, instead of indexing hop −1 of the path.
+func TestSignalingZeroHopCandidateCommences(t *testing.T) {
+	g, _, _, m := signalingFixture(t)
+	pol := attemptFixed{fixedPolicy{paths.Path{}}}
+	tr := GenerateTrace(m, 30, 1)
+	want, err := Run(Config{Graph: g, Policy: pol, Trace: tr, Warmup: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []float64{0, 0.01} {
+		got, err := RunSignaling(SignalingConfig{Config: Config{Graph: g, Policy: pol, Trace: tr, Warmup: 5}, HopDelay: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Offered == 0 || got.Accepted != want.Accepted || got.Blocked != 0 || got.CarriedHopCount != 0 {
+			t.Fatalf("hop delay %v: offered %d, accepted %d, blocked %d, hops %d; Run accepted %d",
+				d, got.Offered, got.Accepted, got.Blocked, got.CarriedHopCount, want.Accepted)
+		}
+		if rtt := got.SetupRTTSum / float64(got.Accepted); math.Abs(rtt-d) > 1e-12 {
+			t.Fatalf("hop delay %v: mean set-up RTT %v, want one hop delay", d, rtt)
+		}
+	}
+}
