@@ -150,7 +150,7 @@ func BenchmarkMitraGibbens(b *testing.B) {
 
 func BenchmarkCellular(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Cellular([]float64{48}, 2); err != nil {
+		if _, err := experiments.Cellular([]float64{48}, experiments.SimParams{Seeds: 2, Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -512,7 +512,7 @@ func benchName(prefix string, v int) string {
 
 func BenchmarkMultiRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MultiRate([]float64{90}, 1); err != nil {
+		if _, err := experiments.MultiRate([]float64{90}, experiments.SimParams{Seeds: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,8 +46,9 @@
 //
 // Common flags: -seeds, -warmup, -horizon, -loads, -H, -parallel.
 // The -parallel flag caps the worker goroutines of every parallel stage
-// (seed runs, sweep points, fixed-point links); 0 uses GOMAXPROCS, 1 forces
-// sequential execution, and every setting prints identical output. Each
+// (the seed replicates of every experiment, and sweep points); 0 uses
+// GOMAXPROCS, 1 forces sequential execution, and every setting prints
+// identical output. Each
 // simulation run is one sequential event loop; parallelism is across runs.
 //
 // Failure flags: -rates (availability outage-rate grid), -mtbf/-mttr inject
@@ -179,13 +180,13 @@ func main() {
 		rows := must(experiments.MitraGibbens(experiments.MitraGibbensOptions{Loads: loads, Sim: p}))
 		fmt.Print(experiments.RenderMitraGibbens(rows))
 	case "cellular":
-		fmt.Print(experiments.RenderCellular(must(experiments.Cellular(loads, *seeds))))
+		fmt.Print(experiments.RenderCellular(must(experiments.Cellular(loads, p))))
 	case "robust":
 		fmt.Print(experiments.RenderRobustness(must(experiments.Robustness(loads, pick(*hFlag, 11), p))))
 	case "signaling":
 		fmt.Print(experiments.RenderSignaling(must(experiments.Signaling(nil, pick(*hFlag, 11), p))))
 	case "multirate":
-		fmt.Print(experiments.RenderMultiRate(must(experiments.MultiRate(loads, *seeds))))
+		fmt.Print(experiments.RenderMultiRate(must(experiments.MultiRate(loads, p))))
 	case "fixedpoint":
 		fmt.Print(experiments.RenderFixedPoint(must(experiments.FixedPointStudy(loads, p))))
 	case "overflow":
@@ -286,13 +287,13 @@ func runAll(p experiments.SimParams) {
 	fmt.Println()
 	fmt.Print(experiments.RenderMitraGibbens(must(experiments.MitraGibbens(experiments.MitraGibbensOptions{Sim: p}))))
 	fmt.Println()
-	fmt.Print(experiments.RenderCellular(must(experiments.Cellular(nil, p.Seeds))))
+	fmt.Print(experiments.RenderCellular(must(experiments.Cellular(nil, p))))
 	fmt.Println()
 	fmt.Print(experiments.RenderRobustness(must(experiments.Robustness(nil, 11, p))))
 	fmt.Println()
 	fmt.Print(experiments.RenderSignaling(must(experiments.Signaling(nil, 11, p))))
 	fmt.Println()
-	fmt.Print(experiments.RenderMultiRate(must(experiments.MultiRate(nil, p.Seeds))))
+	fmt.Print(experiments.RenderMultiRate(must(experiments.MultiRate(nil, p))))
 	fmt.Println()
 	fmt.Print(experiments.RenderFixedPoint(must(experiments.FixedPointStudy(nil, p))))
 	fmt.Println()

@@ -8,9 +8,7 @@ import (
 	"repro/internal/erlang"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
-	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -57,10 +55,11 @@ var DefaultOutageRates = []float64{0.002, 0.005, 0.01, 0.02, 0.05}
 // up time 1/rate, mean repair time mttr) is injected into runs of
 // single-path, uncontrolled, controlled-frozen and controlled-adapted
 // (AdaptRederive) routing, all replaying the identical trace and identical
-// plan (common random numbers across policies). Points execute
-// concurrently on the engine's worker pool and merge in grid order —
-// results and any attached sink's stream are bit-identical at every
-// Parallelism setting and GOMAXPROCS.
+// plan (common random numbers across policies). Points, and the seeds
+// within each point, execute on the engine's worker pool; each point is a
+// replay committed in grid order, as in BlockingSweep — results and any
+// attached sink's stream are bit-identical at every Parallelism setting
+// and GOMAXPROCS.
 func AvailabilitySweep(name string, g *graph.Graph, m *traffic.Matrix,
 	rates []float64, h int, mttr float64,
 	mode sim.FailoverMode, p SimParams) (*Availability, error) {
@@ -91,71 +90,31 @@ func AvailabilitySweep(name string, g *graph.Graph, m *traffic.Matrix,
 		mUnserved
 		numMeasures
 	)
-	type pointResult struct {
-		// samples[measure][policy] collects one value per seed.
-		samples [numMeasures][][]float64
-		spans   []float64
-		events  *obs.Buffer
-		err     error
+	measure := func(_ sim.Policy, res *sim.Result) [numMeasures]float64 {
+		off := float64(res.Offered)
+		lost := float64(res.LostToFailure)
+		return [numMeasures]float64{res.Blocking(), lost / off, (float64(res.Blocked) + lost) / off}
 	}
-	results := make([]pointResult, len(rates))
+	results := make([]replayed[[numMeasures]float64], len(rates))
 	parallelFor(len(rates), p.workers(), func(pt int) {
-		pr := &results[pt]
-		for mi := range pr.samples {
-			pr.samples[mi] = make([][]float64, len(names))
-		}
-		var sink obs.Sink
-		if p.Sink != nil {
-			pr.events = obs.NewBuffer()
-			sink = pr.events
-		}
-		record := func(pi int, res *sim.Result) {
-			off := float64(res.Offered)
-			lost := float64(res.LostToFailure)
-			pr.samples[mBlocking][pi] = append(pr.samples[mBlocking][pi], res.Blocking())
-			pr.samples[mLost][pi] = append(pr.samples[mLost][pi], lost/off)
-			pr.samples[mUnserved][pi] = append(pr.samples[mUnserved][pi], (float64(res.Blocked)+lost)/off)
-			pr.spans = append(pr.spans, res.Span)
-		}
-		for seed := 0; seed < p.Seeds && pr.err == nil; seed++ {
+		runs := func(seed int) ([]sim.Config, error) {
 			plan, err := sim.GenerateOutages(g, p.Horizon, sim.OutageParams{
 				MTBF: 1 / rates[pt], MTTR: mttr, Duplex: true, Seed: int64(seed),
 			})
 			if err != nil {
-				pr.err = err
-				return
-			}
-			tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-			base := sim.Config{
-				Graph: g, Trace: tr, Warmup: p.Warmup,
-				Failures: plan, Failover: mode,
-				Sink: sink, OccupancyEvents: p.OccupancyEvents,
-				WindowLength: p.WindowLength,
-			}
-			for pi, pol := range static {
-				cfg := base
-				cfg.Policy = pol
-				res, err := sim.Run(cfg)
-				if err != nil {
-					pr.err = fmt.Errorf("experiments: %s rate %g seed %d: %w", pol.Name(), rates[pt], seed, err)
-					return
-				}
-				record(pi, res)
+				return nil, err
 			}
 			// The adaptive policy is stateful (its table is swapped at
-			// failure epochs): a fresh instance per run, sharing the
+			// failure epochs): a fresh instance per seed, sharing the
 			// sweep-wide Erlang cache for the re-derivations.
 			ad := scheme.Adaptive(core.AdaptRederive, cache)
-			cfg := base
-			cfg.Policy = ad.Policy()
-			cfg.TopologyHook = ad.Hook()
-			res, err := sim.Run(cfg)
-			if err != nil {
-				pr.err = fmt.Errorf("experiments: %s rate %g seed %d: %w", adaptedName, rates[pt], seed, err)
-				return
+			cfgs := append(runsOf(static...), sim.Config{Policy: ad.Policy(), TopologyHook: ad.Hook()})
+			for i := range cfgs {
+				cfgs[i].Failures, cfgs[i].Failover = plan, mode
 			}
-			record(len(static), res)
+			return cfgs, nil
 		}
+		results[pt] = replay(g, p, poisson(m, p.Horizon), runs, measure)
 	})
 
 	sweeps := [numMeasures]*Sweep{}
@@ -172,21 +131,18 @@ func AvailabilitySweep(name string, g *graph.Graph, m *traffic.Matrix,
 		sweeps[mi] = sw
 	}
 	for pt := range results {
-		pr := &results[pt]
-		if pr.events != nil {
-			pr.events.FlushTo(p.Sink)
-		}
-		if p.Metrics != nil {
-			for _, span := range pr.spans {
-				p.Metrics.AddSpan(span)
-			}
-		}
-		if pr.err != nil {
-			return nil, pr.err
+		ms, err := results[pt].commit(p)
+		if err != nil {
+			return nil, err
 		}
 		for mi := range sweeps {
-			for pi := range names {
-				sum := stats.Summarize(pr.samples[mi][pi])
+			samples := make([][]float64, len(ms))
+			for seed, runs := range ms {
+				for _, run := range runs {
+					samples[seed] = append(samples[seed], run[mi])
+				}
+			}
+			for pi, sum := range summarize(samples) {
 				sweeps[mi].Series[pi].Points = append(sweeps[mi].Series[pi].Points,
 					Point{X: rates[pt], Y: sum.Mean, Err: sum.HalfWidth95})
 			}

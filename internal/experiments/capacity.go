@@ -37,16 +37,14 @@ func CapacityHeadroom(g *graph.Graph, base *traffic.Matrix, h int, target float6
 		if err != nil {
 			return 0, err
 		}
-		pol := pick(scheme)
+		runs, err := results(g, p.quiet(), poisson(m, p.Horizon), each(pick(scheme)))
+		if err != nil {
+			return 0, err
+		}
 		var blocked, offered int64
-		for seed := 0; seed < p.Seeds; seed++ {
-			tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-			res, err := sim.Run(sim.Config{Graph: g, Policy: pol, Trace: tr, Warmup: p.Warmup})
-			if err != nil {
-				return 0, err
-			}
-			blocked += res.Blocked
-			offered += res.Offered
+		for _, seedRuns := range runs {
+			blocked += seedRuns[0].Blocked
+			offered += seedRuns[0].Offered
 		}
 		if offered == 0 {
 			return 0, nil

@@ -67,6 +67,13 @@ func (p SimParams) withDefaults() SimParams {
 	return p
 }
 
+// quiet returns p without its observability attachments, for the studies
+// whose runs feed no sink or metrics registry.
+func (p SimParams) quiet() SimParams {
+	p.Sink, p.Metrics, p.OccupancyEvents, p.WindowLength = nil, nil, false, 0
+	return p
+}
+
 // Point is one measured sweep point: mean blocking over seeds with a 95% CI
 // half-width.
 type Point struct {
@@ -116,129 +123,168 @@ func (s *Sweep) String() string {
 	return b.String()
 }
 
-// policyRuns is the deferred half of a policy comparison: summaries plus
-// the side effects — buffered events, recorded spans — that must reach the
-// shared sink and metrics registry in deterministic order. Produced by
-// runPoliciesDeferred, consumed by commit.
-type policyRuns struct {
-	// sums maps policy name to its blocking summary over seeds (nil when
-	// err is set).
-	sums map[string]stats.Summary
-	// spans holds every completed run's measurement window in (seed,
-	// policy) order — the order the sequential engine fed Metrics.AddSpan.
-	spans []float64
-	// events holds the runs' event streams concatenated in seed order;
-	// non-nil exactly when a sink was requested.
-	events *obs.Buffer
-	// err is the first per-seed error in seed order.
+// replayed is the deferred result of replay: each seed's measures plus the
+// side effects — buffered events, recorded spans — that must reach the
+// shared sink and metrics registry in seed order. commit delivers them.
+type replayed[T any] struct {
+	seeds []seedRuns[T]
+	// err is the first per-seed error in seed order; seeds then ends at
+	// the failing seed.
 	err error
 }
 
-// runPoliciesDeferred measures mean blocking (over seeds) for each policy
-// on the given graph and matrix, replaying the identical trace per seed
-// against all policies (common random numbers). Seeds run on a bounded
-// worker pool (p.Parallelism workers); per-seed results merge in seed
-// order, so the output is bit-identical to the sequential computation. The
-// shared sink and metrics registry are NOT touched: each seed's runs write
-// to a private obs.Buffer and the buffers concatenate in seed order into
-// the returned policyRuns, whose commit delivers everything exactly as
-// sequential execution would have. That split lets BlockingSweep run whole
-// load points concurrently and still emit a deterministic stream.
+// seedRuns is one seed's replicate: one measure per completed run in run
+// order, the runs' measurement spans, and their events when a sink was
+// requested.
+type seedRuns[T any] struct {
+	measures []T
+	spans    []float64
+	events   *obs.Buffer
+}
+
+// traceFunc generates seed s's trace; runsFunc lists seed s's runs.
+type (
+	traceFunc func(seed int) (*sim.Trace, error)
+	runsFunc  func(seed int) ([]sim.Config, error)
+)
+
+// replay is the replicate loop of every sim.Run study. Seed s replays
+// trace(s) against each run runs(s) lists — the same trace for every run,
+// so the runs compare on common random numbers — and measure keeps what
+// the study needs of each run. runs is called once per seed, so a stateful
+// policy (estimate.AdaptiveControlled, core.AdaptiveScheme) starts fresh at
+// every seed; a listed run sets its Policy and, where it needs them,
+// Failures, Failover and TopologyHook, and replay fills in the graph, the
+// trace, the warm-up and p's observability options.
 //
-// Policies consulted here must be stateless per call (true of every policy
-// in this repository except estimate.AdaptiveControlled, which callers run
-// with a fresh instance per seed anyway).
-func runPoliciesDeferred(g *graph.Graph, m *traffic.Matrix, pols []sim.Policy, p SimParams) policyRuns {
-	type seedResult struct {
-		blocking []float64 // indexed by policy
-		spans    []float64 // one per completed run, policy order
-		events   *obs.Buffer
-		err      error
-	}
-	results := make([]seedResult, p.Seeds)
-	parallelFor(p.Seeds, p.workers(), func(seed int) {
-		sr := &results[seed]
+// Seeds run through replicate on p's worker pool. The shared sink and
+// metrics registry are NOT touched: each seed's runs write to a private
+// obs.Buffer, and commit delivers everything in seed order, exactly as
+// sequential execution would. That split also lets a caller run whole
+// points concurrently (BlockingSweep, AvailabilitySweep) and commit them
+// in grid order. Studies that emit nothing pass p.quiet().
+func replay[T any](g *graph.Graph, p SimParams, trace traceFunc, runs runsFunc,
+	measure func(pol sim.Policy, res *sim.Result) T) replayed[T] {
+	seeds, err := replicate(p.Seeds, p.workers(), func(seed int) (seedRuns[T], error) {
+		var sr seedRuns[T]
 		var sink obs.Sink
 		if p.Sink != nil {
 			sr.events = obs.NewBuffer()
 			sink = sr.events
 		}
-		tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-		sr.blocking = make([]float64, len(pols))
-		for i, pol := range pols {
-			res, err := sim.Run(sim.Config{
-				Graph: g, Policy: pol, Trace: tr, Warmup: p.Warmup,
-				Sink: sink, OccupancyEvents: p.OccupancyEvents,
-				WindowLength: p.WindowLength,
-			})
+		tr, err := trace(seed)
+		if err != nil {
+			return sr, err
+		}
+		cfgs, err := runs(seed)
+		if err != nil {
+			return sr, err
+		}
+		for _, cfg := range cfgs {
+			cfg.Graph, cfg.Trace, cfg.Warmup = g, tr, p.Warmup
+			cfg.Sink, cfg.OccupancyEvents, cfg.WindowLength = sink, p.OccupancyEvents, p.WindowLength
+			res, err := sim.Run(cfg)
 			if err != nil {
-				sr.err = fmt.Errorf("experiments: %s seed %d: %w", pol.Name(), seed, err)
-				break
+				return sr, fmt.Errorf("experiments: %s seed %d: %w", cfg.Policy.Name(), seed, err)
 			}
-			sr.blocking[i] = res.Blocking()
+			sr.measures = append(sr.measures, measure(cfg.Policy, res))
 			sr.spans = append(sr.spans, res.Span)
 		}
+		return sr, nil
 	})
-	var out policyRuns
-	if p.Sink != nil {
-		out.events = obs.NewBuffer()
-	}
-	for seed := range results {
-		sr := &results[seed]
-		if sr.events != nil {
-			sr.events.FlushTo(out.events)
-		}
-		out.spans = append(out.spans, sr.spans...)
-		if out.err == nil && sr.err != nil {
-			out.err = sr.err
-		}
-	}
-	if out.err != nil {
-		return out
-	}
-	perPolicy := make(map[string][]float64, len(pols))
-	for seed := range results {
-		for i, pol := range pols {
-			perPolicy[pol.Name()] = append(perPolicy[pol.Name()], results[seed].blocking[i])
-		}
-	}
-	out.sums = make(map[string]stats.Summary, len(perPolicy))
-	for name, xs := range perPolicy {
-		out.sums[name] = stats.Summarize(xs)
-	}
-	return out
+	return replayed[T]{seeds: seeds, err: err}
 }
 
-// commit performs the ordered half of a policy comparison: it flushes the
-// buffered event stream into p.Sink and feeds the recorded spans to
-// p.Metrics in (seed, policy) order — exactly the sequence sequential
-// execution produced (the span sum is a float accumulation, so even its
-// order is part of the bit-identity contract). It then returns the
-// summaries, or the first per-seed error; events recorded before the error
-// are flushed either way, matching the sequential engine.
-func (r policyRuns) commit(p SimParams) (map[string]stats.Summary, error) {
-	if r.events != nil {
-		r.events.FlushTo(p.Sink)
+// commit performs the ordered half of a replay: it flushes the seeds'
+// buffered events into p.Sink, then feeds their spans to p.Metrics, both
+// in (seed, run) order — the sequence sequential execution produces (the
+// span sum is a float accumulation, so even its order is part of the
+// bit-identity contract). It then returns the measures by [seed][run], or
+// the first per-seed error; the events and spans recorded up to the error
+// are delivered either way, as a sequential loop would have.
+func (r replayed[T]) commit(p SimParams) ([][]T, error) {
+	for _, sr := range r.seeds {
+		if sr.events != nil {
+			sr.events.FlushTo(p.Sink)
+		}
 	}
 	if p.Metrics != nil {
-		for _, span := range r.spans {
-			// With the registry also attached as a sink, the accumulated
-			// span turns its accepted count into the carried-call rate
-			// (Snapshot.Throughput; cf. sim.Result.Throughput).
-			p.Metrics.AddSpan(span)
+		for _, sr := range r.seeds {
+			for _, span := range sr.spans {
+				// With the registry also attached as a sink, the accumulated
+				// span turns its accepted count into the carried-call rate
+				// (Snapshot.Throughput; cf. sim.Result.Throughput).
+				p.Metrics.AddSpan(span)
+			}
 		}
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	return r.sums, nil
+	out := make([][]T, len(r.seeds))
+	for s, sr := range r.seeds {
+		out[s] = sr.measures
+	}
+	return out, nil
 }
 
-// runPolicies measures mean blocking (over seeds) for each policy and
-// delivers events and metrics immediately: the runPoliciesDeferred/commit
-// pair fused for callers that iterate points sequentially.
-func runPolicies(g *graph.Graph, m *traffic.Matrix, pols []sim.Policy, p SimParams) (map[string]stats.Summary, error) {
-	return runPoliciesDeferred(g, m, pols, p).commit(p)
+// compare is the common reduction: replay and commit, then summarise each
+// run's blocking over seeds (in seed order). Summaries come back by run
+// index, not by policy name, since two runs may share a name.
+func compare(g *graph.Graph, p SimParams, trace traceFunc, runs runsFunc) ([]stats.Summary, error) {
+	bs, err := replay(g, p, trace, runs, blocking).commit(p)
+	if err != nil {
+		return nil, err
+	}
+	return summarize(bs), nil
+}
+
+// summarize folds samples by [seed][run] into one summary per run index,
+// taking the seeds in seed order.
+func summarize(samples [][]float64) []stats.Summary {
+	out := make([]stats.Summary, len(samples[0]))
+	xs := make([]float64, len(samples))
+	for i := range out {
+		for s := range samples {
+			xs[s] = samples[s][i]
+		}
+		out[i] = stats.Summarize(xs)
+	}
+	return out
+}
+
+// blocking is the measure most studies keep: the run's network blocking.
+func blocking(_ sim.Policy, res *sim.Result) float64 { return res.Blocking() }
+
+// results is replay keeping every run's whole result, by [seed][run], for
+// the studies that pool counters.
+func results(g *graph.Graph, p SimParams, trace traceFunc, runs runsFunc) ([][]*sim.Result, error) {
+	whole := func(_ sim.Policy, res *sim.Result) *sim.Result { return res }
+	return replay(g, p, trace, runs, whole).commit(p)
+}
+
+// poisson is the trace generator of the stationary studies: seed s replays
+// sim.GenerateTrace(m, horizon, s).
+func poisson(m *traffic.Matrix, horizon float64) traceFunc {
+	return func(seed int) (*sim.Trace, error) {
+		return sim.GenerateTrace(m, horizon, int64(seed)), nil
+	}
+}
+
+// runsOf lists one run per policy, in order.
+func runsOf(pols ...sim.Policy) []sim.Config {
+	runs := make([]sim.Config, len(pols))
+	for i, pol := range pols {
+		runs[i].Policy = pol
+	}
+	return runs
+}
+
+// each is the runs factory of a fixed policy list: every seed runs the
+// same policies (they must be stateless per call).
+func each(pols ...sim.Policy) runsFunc {
+	runs := runsOf(pols...)
+	return func(int) ([]sim.Config, error) { return runs, nil }
 }
 
 // BlockingSweep runs a load sweep on one topology: for each load point,
@@ -268,8 +314,8 @@ func BlockingSweep(g *graph.Graph, xs []float64, h int,
 	// interact.
 	cache := erlang.NewCache()
 	type pointOut struct {
-		pols  []string   // policy names in comparison order
-		runs  policyRuns // deferred seed runs (events, spans, summaries)
+		pols  []string          // policy names in comparison order
+		runs  replayed[float64] // deferred seed runs (events, spans, blocking)
 		bound float64
 		// derr is a scheme/policy derivation failure (nothing ran); berr an
 		// Erlang-bound failure (the runs completed and must still commit).
@@ -299,7 +345,7 @@ func BlockingSweep(g *graph.Graph, xs []float64, h int,
 		for _, pol := range pols {
 			o.pols = append(o.pols, pol.Name())
 		}
-		o.runs = runPoliciesDeferred(g, m, pols, p)
+		o.runs = replay(g, p, poisson(m, p.Horizon), each(pols...), blocking)
 		eb, err := bound.ErlangBound(g, m)
 		if err != nil {
 			o.berr = err
@@ -318,18 +364,19 @@ func BlockingSweep(g *graph.Graph, xs []float64, h int,
 		if o.derr != nil {
 			return nil, o.derr
 		}
-		sums, err := o.runs.commit(p)
+		bs, err := o.runs.commit(p)
 		if err != nil {
 			return nil, err
 		}
 		if o.berr != nil {
 			return nil, o.berr
 		}
-		for _, name := range o.pols {
+		sums := summarize(bs)
+		for i, name := range o.pols {
 			if _, seen := bySeries[name]; !seen {
 				names = append(names, name)
 			}
-			s := sums[name]
+			s := sums[i]
 			bySeries[name] = append(bySeries[name], Point{X: x, Y: s.Mean, Err: s.HalfWidth95})
 		}
 		if _, seen := bySeries["erlang-bound"]; !seen {
@@ -389,20 +436,4 @@ func fourPolicies(s *core.Scheme) ([]sim.Policy, error) {
 		return nil, err
 	}
 	return []sim.Policy{s.SinglePath(), s.Uncontrolled(), s.Controlled(), ok}, nil
-}
-
-// forEachSeed runs fn for every seed in [0, p.Seeds) on the engine's worker
-// pool (p.Parallelism workers) and returns the first error (by seed order).
-// fn must only touch per-seed state; aggregate after it returns.
-func forEachSeed(p SimParams, fn func(seed int) error) error {
-	errs := make([]error, p.Seeds)
-	parallelFor(p.Seeds, p.workers(), func(seed int) {
-		errs[seed] = fn(seed)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -255,7 +255,7 @@ func TestMitraGibbensWithinTwo(t *testing.T) {
 }
 
 func TestCellularStudy(t *testing.T) {
-	pts, err := Cellular([]float64{44, 60}, 3)
+	pts, err := Cellular([]float64{44, 60}, SimParams{Seeds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestSignalingStudy(t *testing.T) {
 }
 
 func TestMultiRateStudy(t *testing.T) {
-	pts, err := MultiRate([]float64{85, 100}, 3)
+	pts, err := MultiRate([]float64{85, 100}, SimParams{Seeds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

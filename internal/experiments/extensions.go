@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cellular"
 	"repro/internal/core"
-	"repro/internal/estimate"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -23,24 +22,26 @@ type CellularPoint struct {
 }
 
 // Cellular runs the channel-borrowing comparison over a per-cell load grid
-// (C=50 channels, co-cell sets of 3 as in the paper's discussion).
-func Cellular(loads []float64, seeds int) ([]CellularPoint, error) {
+// (C=50 channels, co-cell sets of 3 as in the paper's discussion). Of p
+// only Seeds and Parallelism apply: the runs keep cellular.Config's
+// horizon and warm-up (110 and 10) and feed no sink.
+func Cellular(loads []float64, p SimParams) ([]CellularPoint, error) {
 	if loads == nil {
 		loads = []float64{40, 44, 48, 52, 56, 60}
 	}
-	if seeds <= 0 {
-		seeds = 10
-	}
+	p = p.withDefaults()
 	var out []CellularPoint
 	for _, load := range loads {
+		bySeed, err := replicate(p.Seeds, p.workers(), func(seed int) (map[cellular.Mode]*cellular.Result, error) {
+			return cellular.Compare(cellular.Config{Load: load, Seed: int64(seed)})
+		})
+		if err != nil {
+			return nil, err
+		}
 		pt := CellularPoint{Load: load, Blocking: make(map[cellular.Mode]stats.Summary)}
 		samples := map[cellular.Mode][]float64{}
 		var borrowed, accepted int64
-		for seed := 0; seed < seeds; seed++ {
-			results, err := cellular.Compare(cellular.Config{Load: load, Seed: int64(seed)})
-			if err != nil {
-				return nil, err
-			}
+		for _, results := range bySeed {
 			for _, mode := range []cellular.Mode{cellular.NoBorrowing, cellular.UncontrolledBorrowing, cellular.ControlledBorrowing} {
 				samples[mode] = append(samples[mode], results[mode].Blocking())
 			}
@@ -107,38 +108,18 @@ func Robustness(loads []float64, h int, p SimParams) ([]RobustnessPoint, error) 
 		if err != nil {
 			return nil, err
 		}
-		pt := RobustnessPoint{Load: load}
-		var oracleXs, adaptiveXs, singleXs []float64
-		for seed := 0; seed < p.Seeds; seed++ {
-			tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-			ro, err := sim.Run(sim.Config{Graph: g, Policy: scheme.Controlled(), Trace: tr, Warmup: p.Warmup})
+		runs := func(int) ([]sim.Config, error) {
+			adaptive, err := newAdaptive(g, scheme)
 			if err != nil {
 				return nil, err
 			}
-			est, err := estimate.New(g, 5, 0.3)
-			if err != nil {
-				return nil, err
-			}
-			adaptive, err := estimate.NewAdaptiveControlled(scheme.Table, est, 5)
-			if err != nil {
-				return nil, err
-			}
-			ra, err := sim.Run(sim.Config{Graph: g, Policy: adaptive, Trace: tr, Warmup: p.Warmup})
-			if err != nil {
-				return nil, err
-			}
-			rs, err := sim.Run(sim.Config{Graph: g, Policy: scheme.SinglePath(), Trace: tr, Warmup: p.Warmup})
-			if err != nil {
-				return nil, err
-			}
-			oracleXs = append(oracleXs, ro.Blocking())
-			adaptiveXs = append(adaptiveXs, ra.Blocking())
-			singleXs = append(singleXs, rs.Blocking())
+			return runsOf(scheme.Controlled(), adaptive, scheme.SinglePath()), nil
 		}
-		pt.Oracle = stats.Summarize(oracleXs)
-		pt.Adaptive = stats.Summarize(adaptiveXs)
-		pt.SinglePath = stats.Summarize(singleXs)
-		out = append(out, pt)
+		sums, err := compare(g, p.quiet(), poisson(m, p.Horizon), runs)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, RobustnessPoint{Load: load, Oracle: sums[0], Adaptive: sums[1], SinglePath: sums[2]})
 	}
 	return out, nil
 }
@@ -187,19 +168,23 @@ func Signaling(delays []float64, h int, p SimParams) ([]SignalingPoint, error) {
 	controlled := scheme.Controlled()
 	var out []SignalingPoint
 	for _, d := range delays {
+		bySeed, err := replicate(p.Seeds, p.workers(), func(seed int) (*sim.SignalingResult, error) {
+			return sim.RunSignaling(sim.SignalingConfig{
+				Config: sim.Config{
+					Graph: g, Policy: controlled, Warmup: p.Warmup,
+					Trace: sim.GenerateTrace(nominal, p.Horizon, int64(seed)),
+				},
+				HopDelay: d,
+			})
+		})
+		if err != nil {
+			return nil, err
+		}
 		pt := SignalingPoint{HopDelay: d}
 		var xs []float64
 		var rttSum float64
 		var accepted int64
-		for seed := 0; seed < p.Seeds; seed++ {
-			tr := sim.GenerateTrace(nominal, p.Horizon, int64(seed))
-			res, err := sim.RunSignaling(sim.SignalingConfig{
-				Config:   sim.Config{Graph: g, Policy: controlled, Trace: tr, Warmup: p.Warmup},
-				HopDelay: d,
-			})
-			if err != nil {
-				return nil, err
-			}
+		for _, res := range bySeed {
 			xs = append(xs, res.Blocking())
 			rttSum += res.SetupRTTSum
 			accepted += res.Accepted

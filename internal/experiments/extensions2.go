@@ -46,19 +46,19 @@ type MultiRatePoint struct {
 
 // MultiRate runs the extension study over bandwidth-weighted link loads
 // (nil = {70, 80, 85, 90, 95, 100}), split 70% voice / 30% video by
-// bandwidth share.
-func MultiRate(weighted []float64, seeds int) ([]MultiRatePoint, error) {
+// bandwidth share. Of p only Seeds and Parallelism apply: the runs keep
+// the study's fixed horizon and warm-up (110 and 10) and feed no sink.
+func MultiRate(weighted []float64, p SimParams) ([]MultiRatePoint, error) {
 	if weighted == nil {
 		weighted = []float64{70, 80, 85, 90, 95, 100}
 	}
-	if seeds <= 0 {
-		seeds = 5
-	}
+	p = p.withDefaults()
 	g := netmodel.Quadrangle()
 	tbl, err := policy.BuildMinHop(g, 0)
 	if err != nil {
 		return nil, err
 	}
+	disciplines := []multirate.Discipline{multirate.SinglePath, multirate.Uncontrolled, multirate.Controlled}
 	var out []MultiRatePoint
 	for _, w := range weighted {
 		voice := 0.7 * w
@@ -79,30 +79,36 @@ func MultiRate(weighted []float64, seeds int) ([]MultiRatePoint, error) {
 			VideoBlocking:     map[multirate.Discipline]stats.Summary{},
 			Protection:        prot[0],
 		}
-		samples := map[multirate.Discipline][]float64{}
-		bwSamples := map[multirate.Discipline][]float64{}
-		vidSamples := map[multirate.Discipline][]float64{}
-		for seed := 0; seed < seeds; seed++ {
+		bySeed, err := replicate(p.Seeds, p.workers(), func(seed int) ([]*multirate.Result, error) {
 			tr, err := multirate.GenerateTrace(classes, 110, int64(seed))
 			if err != nil {
 				return nil, err
 			}
-			for _, d := range []multirate.Discipline{multirate.SinglePath, multirate.Uncontrolled, multirate.Controlled} {
+			var runs []*multirate.Result
+			for _, d := range disciplines {
 				res, err := multirate.Run(multirate.Config{
 					Graph: g, Table: tbl, Discipline: d, Protection: prot, Trace: tr, Warmup: 10,
 				})
 				if err != nil {
 					return nil, err
 				}
-				samples[d] = append(samples[d], res.Blocking())
-				bwSamples[d] = append(bwSamples[d], res.BandwidthBlocking())
-				vidSamples[d] = append(vidSamples[d], res.ClassBlockingProb(1))
+				runs = append(runs, res)
 			}
+			return runs, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		for d, xs := range samples {
-			pt.Blocking[d] = stats.Summarize(xs)
-			pt.BandwidthBlocking[d] = stats.Summarize(bwSamples[d])
-			pt.VideoBlocking[d] = stats.Summarize(vidSamples[d])
+		for i, d := range disciplines {
+			var calls, bw, vid []float64
+			for _, runs := range bySeed {
+				calls = append(calls, runs[i].Blocking())
+				bw = append(bw, runs[i].BandwidthBlocking())
+				vid = append(vid, runs[i].ClassBlockingProb(1))
+			}
+			pt.Blocking[d] = stats.Summarize(calls)
+			pt.BandwidthBlocking[d] = stats.Summarize(bw)
+			pt.VideoBlocking[d] = stats.Summarize(vid)
 		}
 		out = append(out, pt)
 	}
@@ -168,19 +174,14 @@ func FixedPointStudy(loads []float64, p SimParams) ([]FixedPointPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		var xs []float64
-		for seed := 0; seed < p.Seeds; seed++ {
-			tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-			res, err := sim.Run(sim.Config{Graph: g, Policy: policy.SinglePath{T: tbl}, Trace: tr, Warmup: p.Warmup})
-			if err != nil {
-				return nil, err
-			}
-			xs = append(xs, res.Blocking())
+		sums, err := compare(g, p.quiet(), poisson(m, p.Horizon), each(policy.SinglePath{T: tbl}))
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, FixedPointPoint{
 			Load:       load,
 			Analytic:   fp.NetworkBlocking,
-			Simulated:  stats.Summarize(xs),
+			Simulated:  sums[0],
 			Iterations: fp.Iterations,
 		})
 	}
@@ -226,20 +227,19 @@ func OverflowRuleStudy(loads []float64, h int, p SimParams) ([]OverflowRulePoint
 		if err != nil {
 			return nil, err
 		}
-		pols := []sim.Policy{
+		sums, err := compare(g, p, poisson(m, p.Horizon), each(
 			scheme.SinglePath(),
 			scheme.Controlled(),
 			policy.LeastBusyAlternate{T: scheme.Table, R: scheme.Protection},
-		}
-		sums, err := runPolicies(g, m, pols, p)
+		))
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, OverflowRulePoint{
 			Load:       load,
-			SinglePath: sums["single-path"],
-			Shortest:   sums["controlled-alternate"],
-			LeastBusy:  sums["least-busy-alternate"],
+			SinglePath: sums[0],
+			Shortest:   sums[1],
+			LeastBusy:  sums[2],
 		})
 	}
 	return out, nil
@@ -287,37 +287,25 @@ func RampRobustness(p SimParams) ([]RampPoint, error) {
 	}
 	var out []RampPoint
 	for _, prof := range profiles {
-		var singleXs, staticXs, adaptiveXs []float64
-		for seed := 0; seed < p.Seeds; seed++ {
-			tr, err := sim.GenerateTraceVarying(nominal, prof.profile, p.Horizon, int64(seed))
-			if err != nil {
-				return nil, err
-			}
-			rs, err := sim.Run(sim.Config{Graph: g, Policy: scheme.SinglePath(), Trace: tr, Warmup: p.Warmup})
-			if err != nil {
-				return nil, err
-			}
-			rc, err := sim.Run(sim.Config{Graph: g, Policy: scheme.Controlled(), Trace: tr, Warmup: p.Warmup})
-			if err != nil {
-				return nil, err
-			}
+		trace := func(seed int) (*sim.Trace, error) {
+			return sim.GenerateTraceVarying(nominal, prof.profile, p.Horizon, int64(seed))
+		}
+		runs := func(int) ([]sim.Config, error) {
 			adaptive, err := newAdaptive(g, scheme)
 			if err != nil {
 				return nil, err
 			}
-			ra, err := sim.Run(sim.Config{Graph: g, Policy: adaptive, Trace: tr, Warmup: p.Warmup})
-			if err != nil {
-				return nil, err
-			}
-			singleXs = append(singleXs, rs.Blocking())
-			staticXs = append(staticXs, rc.Blocking())
-			adaptiveXs = append(adaptiveXs, ra.Blocking())
+			return runsOf(scheme.SinglePath(), scheme.Controlled(), adaptive), nil
+		}
+		sums, err := compare(g, p.quiet(), trace, runs)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, RampPoint{
 			Name:       prof.name,
-			SinglePath: stats.Summarize(singleXs),
-			Static:     stats.Summarize(staticXs),
-			Adaptive:   stats.Summarize(adaptiveXs),
+			SinglePath: sums[0],
+			Static:     sums[1],
+			Adaptive:   sums[2],
 		})
 	}
 	return out, nil

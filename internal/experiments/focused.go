@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -64,24 +63,23 @@ func FocusedOverload(factors []float64, h int, p SimParams) ([]FocusedPoint, err
 			HotPair:    make(map[string]stats.Summary),
 			Background: make(map[string]stats.Summary),
 		}
+		runs, err := results(g, p.quiet(), poisson(m, p.Horizon), each(pols...))
+		if err != nil {
+			return nil, err
+		}
 		hotXs := map[string][]float64{}
 		bgXs := map[string][]float64{}
-		for seed := 0; seed < p.Seeds; seed++ {
-			tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-			for _, pol := range pols {
-				res, err := sim.Run(sim.Config{Graph: g, Policy: pol, Trace: tr, Warmup: p.Warmup})
-				if err != nil {
-					return nil, err
-				}
+		for _, seedRuns := range runs {
+			for _, res := range seedRuns {
 				hotOff := res.PerPairOffered[hot]
 				hotBlk := res.PerPairBlocked[hot]
 				if hotOff > 0 {
-					hotXs[pol.Name()] = append(hotXs[pol.Name()], float64(hotBlk)/float64(hotOff))
+					hotXs[res.Policy] = append(hotXs[res.Policy], float64(hotBlk)/float64(hotOff))
 				}
 				bgOff := res.Offered - hotOff
 				bgBlk := res.Blocked - hotBlk
 				if bgOff > 0 {
-					bgXs[pol.Name()] = append(bgXs[pol.Name()], float64(bgBlk)/float64(bgOff))
+					bgXs[res.Policy] = append(bgXs[res.Policy], float64(bgBlk)/float64(bgOff))
 				}
 			}
 		}

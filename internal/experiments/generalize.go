@@ -40,22 +40,21 @@ func GeneralMesh(cases int, p SimParams) ([]GeneralMeshCase, error) {
 			return nil, err
 		}
 		pols := []sim.Policy{scheme.SinglePath(), scheme.Uncontrolled(), scheme.Controlled()}
-		var blocked [3]int64
-		var accepted [3]int64
+		trace := func(s int) (*sim.Trace, error) {
+			return sim.GenerateTrace(m, p.Horizon, int64(s)+1000*seed), nil
+		}
+		runs, err := results(g, p.quiet(), trace, each(pols...))
+		if err != nil {
+			return nil, err
+		}
+		var blocked, accepted [3]int64
 		var offered int64
-		for s := 0; s < p.Seeds; s++ {
-			tr := sim.GenerateTrace(m, p.Horizon, int64(s)+1000*seed)
-			for i, pol := range pols {
-				res, err := sim.Run(sim.Config{Graph: g, Policy: pol, Trace: tr, Warmup: p.Warmup})
-				if err != nil {
-					return nil, err
-				}
+		for _, seedRuns := range runs {
+			for i, res := range seedRuns {
 				blocked[i] += res.Blocked
 				accepted[i] += res.Accepted
-				if i == 0 {
-					offered += res.Offered
-				}
 			}
+			offered += seedRuns[0].Offered
 		}
 		c := GeneralMeshCase{
 			Seed:         seed,

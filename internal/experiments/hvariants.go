@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/netmodel"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -62,30 +61,15 @@ func HVariants(loads []float64, p SimParams) ([]HVariantsPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		pols := map[string]sim.Policy{
-			"single-path":       s11.SinglePath(),
-			"global H=11":       s11.Controlled(),
-			"global H=6":        s6.Controlled(),
-			"per-link Hk (K=4)": perLink,
-			"tiered s=3":        tiered,
+		// Runs in HVariantNames order: sums[i] is HVariantNames[i]'s.
+		sums, err := compare(g, p.quiet(), poisson(m, p.Horizon), each(
+			s11.SinglePath(), s11.Controlled(), s6.Controlled(), perLink, tiered))
+		if err != nil {
+			return nil, err
 		}
 		pt := HVariantsPoint{Load: load, Blocking: make(map[string]stats.Summary)}
-		samples := map[string][]float64{}
-		for seed := 0; seed < p.Seeds; seed++ {
-			tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-			// Iterate in render order, not map order, so the runs (and any
-			// attached event stream) replay identically across processes.
-			for _, name := range HVariantNames {
-				pol := pols[name]
-				res, err := sim.Run(sim.Config{Graph: g, Policy: pol, Trace: tr, Warmup: p.Warmup})
-				if err != nil {
-					return nil, err
-				}
-				samples[name] = append(samples[name], res.Blocking())
-			}
-		}
-		for name, xs := range samples {
-			pt.Blocking[name] = stats.Summarize(xs)
+		for i, name := range HVariantNames {
+			pt.Blocking[name] = sums[i]
 		}
 		out = append(out, pt)
 	}

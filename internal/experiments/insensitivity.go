@@ -42,32 +42,14 @@ func Insensitivity(h int, p SimParams) ([]InsensitivityPoint, error) {
 	}
 	var out []InsensitivityPoint
 	for _, dist := range dists {
-		pt := InsensitivityPoint{Dist: dist}
-		samples := make([][]float64, len(pols))
-		for i := range samples {
-			samples[i] = make([]float64, p.Seeds)
+		trace := func(seed int) (*sim.Trace, error) {
+			return sim.GenerateTraceHolding(nominal, p.Horizon, int64(seed), dist)
 		}
-		err := forEachSeed(p, func(seed int) error {
-			tr, err := sim.GenerateTraceHolding(nominal, p.Horizon, int64(seed), dist)
-			if err != nil {
-				return err
-			}
-			for i, pol := range pols {
-				res, err := sim.Run(sim.Config{Graph: g, Policy: pol, Trace: tr, Warmup: p.Warmup})
-				if err != nil {
-					return err
-				}
-				samples[i][seed] = res.Blocking()
-			}
-			return nil
-		})
+		sums, err := compare(g, p.quiet(), trace, each(pols...))
 		if err != nil {
 			return nil, err
 		}
-		pt.Single = stats.Summarize(samples[0])
-		pt.Uncontrolled = stats.Summarize(samples[1])
-		pt.Controlled = stats.Summarize(samples[2])
-		out = append(out, pt)
+		out = append(out, InsensitivityPoint{Dist: dist, Single: sums[0], Uncontrolled: sums[1], Controlled: sums[2]})
 	}
 	return out, nil
 }

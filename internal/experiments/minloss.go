@@ -8,7 +8,6 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/optimize"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -68,29 +67,13 @@ func MinLossStudy(loads []float64, h int, p SimParams) ([]MinLossPoint, error) {
 				point.BifurcatedPairs++
 			}
 		}
-		configs := []struct {
-			pol  sim.Policy
-			dest *stats.Summary
-		}{
-			{hopScheme.SinglePath(), &point.MinHopSingle},
-			{lossScheme.SinglePath(), &point.MinLossSingle},
-			{hopScheme.Controlled(), &point.MinHopControlled},
-			{lossScheme.Controlled(), &point.MinLossControlled},
+		sums, err := compare(g, p.quiet(), poisson(m, p.Horizon), each(
+			hopScheme.SinglePath(), lossScheme.SinglePath(), hopScheme.Controlled(), lossScheme.Controlled()))
+		if err != nil {
+			return nil, err
 		}
-		samples := make([][]float64, len(configs))
-		for seed := 0; seed < p.Seeds; seed++ {
-			tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-			for i, cfg := range configs {
-				res, err := sim.Run(sim.Config{Graph: g, Policy: cfg.pol, Trace: tr, Warmup: p.Warmup})
-				if err != nil {
-					return nil, err
-				}
-				samples[i] = append(samples[i], res.Blocking())
-			}
-		}
-		for i, cfg := range configs {
-			*cfg.dest = stats.Summarize(samples[i])
-		}
+		point.MinHopSingle, point.MinLossSingle = sums[0], sums[1]
+		point.MinHopControlled, point.MinLossControlled = sums[2], sums[3]
 		out = append(out, point)
 	}
 	return out, nil

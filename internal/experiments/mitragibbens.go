@@ -80,30 +80,14 @@ func MitraGibbens(opts MitraGibbensOptions) ([]MitraGibbensRow, error) {
 			for i := range rs {
 				rs[i] = r
 			}
-			blocked := make([]int64, p.Seeds)
-			offered := make([]int64, p.Seeds)
-			err := forEachSeed(p, func(seed int) error {
-				tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-				res, err := sim.Run(sim.Config{
-					Graph:  g,
-					Policy: controlledWithR(scheme, rs),
-					Trace:  tr,
-					Warmup: p.Warmup,
-				})
-				if err != nil {
-					return err
-				}
-				blocked[seed] = res.Blocked
-				offered[seed] = res.Offered
-				return nil
-			})
+			runs, err := results(g, p.quiet(), poisson(m, p.Horizon), each(controlledWithR(scheme, rs)))
 			if err != nil {
 				return 0, err
 			}
 			var b, o int64
-			for seed := 0; seed < p.Seeds; seed++ {
-				b += blocked[seed]
-				o += offered[seed]
+			for _, res := range runs {
+				b += res[0].Blocked
+				o += res[0].Offered
 			}
 			return float64(b) / float64(o), nil
 		}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/netmodel"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -188,24 +187,23 @@ func Skewness(load float64, h int, p SimParams) (*SkewResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	runs, err := results(g, p.quiet(), poisson(m, p.Horizon), each(pols...))
+	if err != nil {
+		return nil, err
+	}
 	offered := make(map[string]map[[2]graph.NodeID]int64)
 	blocked := make(map[string]map[[2]graph.NodeID]int64)
 	for _, pol := range pols {
 		offered[pol.Name()] = make(map[[2]graph.NodeID]int64)
 		blocked[pol.Name()] = make(map[[2]graph.NodeID]int64)
 	}
-	for seed := 0; seed < p.Seeds; seed++ {
-		tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-		for _, pol := range pols {
-			res, err := sim.Run(sim.Config{Graph: g, Policy: pol, Trace: tr, Warmup: p.Warmup})
-			if err != nil {
-				return nil, err
-			}
+	for _, seedRuns := range runs {
+		for _, res := range seedRuns {
 			for k, v := range res.PerPairOffered {
-				offered[pol.Name()][k] += v
+				offered[res.Policy][k] += v
 			}
 			for k, v := range res.PerPairBlocked {
-				blocked[pol.Name()][k] += v
+				blocked[res.Policy][k] += v
 			}
 		}
 	}

@@ -47,6 +47,28 @@ func parallelFor(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
+// replicate is the one seed-replicate engine: it runs fn(i) for every i in
+// [0, n) on parallelFor's pool (at most workers goroutines; workers <= 1 or
+// n <= 1 is a plain loop on the calling goroutine), each call filling slot
+// i, and returns the slots in index order with the first error in index
+// order. When job k is the first to fail only slots 0..k come back — the
+// prefix a sequential loop stopping at its first error would have produced
+// — so a caller that commits side effects from the slots commits the same
+// prefix at every worker count.
+func replicate[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	slots := make([]T, n)
+	errs := make([]error, n)
+	parallelFor(n, workers, func(i int) {
+		slots[i], errs[i] = fn(i)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return slots[:i+1], err
+		}
+	}
+	return slots, nil
+}
+
 // workers resolves the Parallelism option to a concrete worker count:
 // 0 means one worker per GOMAXPROCS slot, anything positive is taken
 // literally (1 = sequential).

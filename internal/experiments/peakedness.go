@@ -96,18 +96,21 @@ func Peakedness(load float64, h int, p SimParams) (*PeakednessResult, error) {
 	}
 	const window = 1.0
 	nwin := int(p.Horizon - p.Warmup)
-	totals := make([][]int64, g.NumLinks())
-	for i := range totals {
-		totals[i] = nil
+	// Each seed records through a fresh policy; the measure keeps its
+	// per-link window counts, concatenated below in seed order.
+	q := p.quiet()
+	runs := func(int) ([]sim.Config, error) {
+		return runsOf(newRecordingPolicy(scheme.Controlled(), g.NumLinks(), nwin, p.Warmup, window)), nil
 	}
-	for seed := 0; seed < p.Seeds; seed++ {
-		tr := sim.GenerateTrace(m, p.Horizon, int64(seed))
-		rp := newRecordingPolicy(scheme.Controlled(), g.NumLinks(), nwin, p.Warmup, window)
-		if _, err := sim.Run(sim.Config{Graph: g, Policy: rp, Trace: tr, Warmup: p.Warmup}); err != nil {
-			return nil, err
-		}
+	counts := func(pol sim.Policy, _ *sim.Result) [][]int64 { return pol.(*recordingPolicy).counts }
+	bySeed, err := replay(g, q, poisson(m, p.Horizon), runs, counts).commit(q)
+	if err != nil {
+		return nil, err
+	}
+	totals := make([][]int64, g.NumLinks())
+	for _, seedRuns := range bySeed {
 		for id := range totals {
-			totals[id] = append(totals[id], rp.counts[id]...)
+			totals[id] = append(totals[id], seedRuns[0][id]...)
 		}
 	}
 	res := &PeakednessResult{Load: load, H: h}

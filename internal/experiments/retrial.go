@@ -45,16 +45,10 @@ func Retrials(probs []float64, h int, p SimParams) ([]RetrialPoint, error) {
 	pols := []sim.Policy{scheme.SinglePath(), scheme.Uncontrolled(), scheme.Controlled()}
 	var out []RetrialPoint
 	for _, prob := range probs {
-		pt := RetrialPoint{RetryProbability: prob}
-		samples := make([][]float64, len(pols))
-		for i := range samples {
-			samples[i] = make([]float64, p.Seeds)
-		}
-		retriesBySeed := make([]int64, p.Seeds)
-		offeredBySeed := make([]int64, p.Seeds)
-		err := forEachSeed(p, func(seed int) error {
+		bySeed, err := replicate(p.Seeds, p.workers(), func(seed int) ([]*sim.RetrialResult, error) {
 			tr := sim.GenerateTrace(nominal, p.Horizon, int64(seed))
-			for i, pol := range pols {
+			var runs []*sim.RetrialResult
+			for _, pol := range pols {
 				res, err := sim.RunWithRetrials(sim.RetrialConfig{
 					Config:           sim.Config{Graph: g, Policy: pol, Trace: tr, Warmup: p.Warmup},
 					RetryProbability: prob,
@@ -62,27 +56,28 @@ func Retrials(probs []float64, h int, p SimParams) ([]RetrialPoint, error) {
 					Seed:             int64(seed),
 				})
 				if err != nil {
-					return err
+					return nil, err
 				}
-				samples[i][seed] = res.Blocking()
-				if i == 2 {
-					retriesBySeed[seed] = res.Retries
-					offeredBySeed[seed] = res.Offered
-				}
+				runs = append(runs, res)
 			}
-			return nil
+			return runs, nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		pt := RetrialPoint{RetryProbability: prob}
+		samples := make([][]float64, len(bySeed))
 		var retries, offered int64
-		for seed := 0; seed < p.Seeds; seed++ {
-			retries += retriesBySeed[seed]
-			offered += offeredBySeed[seed]
+		for seed, runs := range bySeed {
+			for _, res := range runs {
+				samples[seed] = append(samples[seed], res.Blocking())
+			}
+			// The retry load is measured under the controlled policy.
+			retries += runs[2].Retries
+			offered += runs[2].Offered
 		}
-		pt.Single = stats.Summarize(samples[0])
-		pt.Uncontrolled = stats.Summarize(samples[1])
-		pt.Controlled = stats.Summarize(samples[2])
+		sums := summarize(samples)
+		pt.Single, pt.Uncontrolled, pt.Controlled = sums[0], sums[1], sums[2]
 		if offered > 0 {
 			pt.RetryLoad = float64(retries) / float64(offered)
 		}
