@@ -105,7 +105,8 @@ altbench:
 # event queue against a stable sort, the slab-batched arrival stream
 # against the heap merge it replaced, the pruned Erlang bound against
 # exhaustive cut evaluation, the route-table builders against the
-# per-pair reference, and the hand-written JSONL encoder against
+# per-pair reference, the hand-written JSONL encoder against
+# encoding/json, and altd's /admit and /release codec against
 # encoding/json (CI smoke; the
 # checked-in corpora under internal/*/testdata/fuzz always run in plain
 # `go test`).
@@ -119,6 +120,7 @@ fuzz-smoke:
 	$(GO) test ./internal/bound/ -run '^$$' -fuzz FuzzErlangBoundMatchesExhaustive -fuzztime 10s
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzBuildMinHopMatchesReference -fuzztime 10s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzJSONLMatchesEncodingJSON -fuzztime 10s
+	$(GO) test ./internal/ctrl/ -run '^$$' -fuzz FuzzWireMatchesEncodingJSON -fuzztime 10s
 
 # Run every example end to end with reduced horizons (the CI examples
 # smoke job). Output goes to /dev/null; a non-zero exit is the signal.

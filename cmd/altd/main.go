@@ -35,8 +35,9 @@
 // clock — the mapping is injected here, keeping replays deterministic.
 //
 // Shutdown (SIGINT/SIGTERM) is graceful: the listener stops accepting,
-// in-flight decisions drain through the single decision loop, and the
-// -events JSONL stream is flushed before exit.
+// in-flight requests finish, the control plane closes (a decision under
+// way completes, later ones get 503), and the -events JSONL stream is
+// flushed before exit.
 package main
 
 import (
@@ -239,8 +240,8 @@ func metricsHandler(reg *obs.Registry, series *timeseries.Folder) http.Handler {
 // addr returns the bound listen address (resolves ":0").
 func (d *daemon) addr() string { return d.ln.Addr().String() }
 
-// run starts the decision loop, the tick loop, and the HTTP front end; it
-// blocks until the HTTP server is shut down.
+// run opens the control plane and starts the tick loop and the HTTP front
+// end; it blocks until the HTTP server is shut down.
 func (d *daemon) run() error {
 	d.srv.Start()
 	if d.tick > 0 {
@@ -272,7 +273,7 @@ func (d *daemon) run() error {
 }
 
 // shutdown drains the daemon: stop ticking, stop accepting and finish
-// in-flight HTTP requests, drain the decision queue, then flush the event
+// in-flight HTTP requests, close the control plane, then flush the event
 // stream. Safe to call once.
 func (d *daemon) shutdown(ctx context.Context) error {
 	close(d.tickStop)

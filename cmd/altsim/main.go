@@ -117,6 +117,10 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	if err := checkIgnored(cmd, fs); err != nil {
+		fmt.Fprintln(os.Stderr, "altsim:", err)
+		os.Exit(2)
+	}
 	p := experiments.SimParams{Seeds: *seeds, Warmup: *warmup, Horizon: *horizon, Parallelism: *parallel}
 	obsFinish = of.setup(&p)
 	defer obsFinish()
@@ -375,6 +379,26 @@ func parseLoads(s string) ([]float64, error) {
 func checkSpan(warmup, horizon float64) error {
 	if math.IsNaN(warmup) || math.IsInf(warmup, 0) || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
 		return fmt.Errorf("-warmup %v and -horizon %v must be finite", warmup, horizon)
+	}
+	return nil
+}
+
+// ignoredFlags names, per experiment, the flags it accepts but cannot
+// honour: cellular and multirate run a fixed horizon 110 and warm-up 10
+// and take no event sink.
+var ignoredFlags = map[string][]string{
+	"cellular":  {"horizon", "warmup", "events"},
+	"multirate": {"horizon", "warmup", "events"},
+}
+
+// checkIgnored refuses an explicitly set flag that cmd would ignore.
+func checkIgnored(cmd string, fs *flag.FlagSet) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range ignoredFlags[cmd] {
+		if set[name] {
+			return fmt.Errorf("%s does not support -%s (it runs a fixed span and takes no event stream)", cmd, name)
+		}
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -63,6 +64,36 @@ func TestNonFiniteSpanIsUsageError(t *testing.T) {
 			t.Errorf("altsim %s: err %v, want exit status 2; output:\n%s", args, err, out)
 		} else if !strings.Contains(string(out), "must be finite") {
 			t.Errorf("altsim %s: output lacks the reason:\n%s", args, out)
+		}
+	}
+}
+
+// TestIgnoredFlagsAreUsageErrors runs altsim's main in a child process:
+// cellular and multirate run a fixed span with no event stream, so an
+// explicit -horizon, -warmup or -events must exit 2 naming the flag
+// rather than print the default table.
+func TestIgnoredFlagsAreUsageErrors(t *testing.T) {
+	if args := os.Getenv("ALTSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"altsim"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, c := range []struct{ args, flag string }{
+		{"cellular -horizon 40", "-horizon"},
+		{"cellular -warmup 5", "-warmup"},
+		{"multirate -events " + filepath.Join(t.TempDir(), "ev.jsonl"), "-events"},
+		{"multirate -seeds 1 -horizon=110", "-horizon"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run", "^TestIgnoredFlagsAreUsageErrors$")
+		cmd.Env = append(os.Environ(), "ALTSIM_TEST_ARGS="+c.args)
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("altsim %s: err %v, want exit status 2; output:\n%s", c.args, err, out)
+		} else if !strings.Contains(string(out), c.flag) {
+			t.Errorf("altsim %s: output does not name %s:\n%s", c.args, c.flag, out)
 		}
 	}
 }

@@ -227,8 +227,7 @@ var deterministicPackages = map[string]bool{
 	// ctrl serves live admissions through the same compiled tables the
 	// simulator replays; a nondeterministic decision path would break the
 	// replay-equivalence contract (DESIGN.md §16). Its clock is injected
-	// and its one goroutine (the decision loop) carries a spawn-ok
-	// annotation with the join protocol.
+	// and it starts no goroutine: one lock serializes the decisions.
 	"repro/internal/ctrl":           true,
 	"repro/internal/obs":            true,
 	"repro/internal/obs/timeseries": true,

@@ -45,10 +45,10 @@ func (l *benchLatencies) report(b *testing.B, elapsed time.Duration) {
 }
 
 // BenchmarkAltdDecisions is the control-plane throughput bench: a client
-// swarm hammers the decision loop with admit/release pairs (model-time
+// swarm hammers the server with admit/release pairs (model-time
 // timestamps, so runs are reproducible) and reports decisions/sec and tail
-// latency. The "direct" variant measures the serialized loop itself
-// (enqueue → decide → fan-out); "http" adds the JSON-over-HTTP wire on a
+// latency. The "direct" variant measures the serialized server itself
+// (lock → decide → unlock); "http" adds the JSON-over-HTTP wire on a
 // loopback httptest server, the shape cmd/altd serves.
 func BenchmarkAltdDecisions(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {

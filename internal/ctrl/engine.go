@@ -68,7 +68,7 @@ type Metrics struct {
 // to an offline sim.Run of the equivalent arrival trace. The engine owns
 // only its booking: the in-flight map, the estimator feed, and the
 // metrics. It is NOT safe for concurrent use — the Server serializes all
-// access through its decision loop.
+// access under its mutex.
 type Engine struct {
 	g  *graph.Graph
 	st *sim.State
@@ -109,8 +109,8 @@ func NewEngine(g *graph.Graph, st *sim.State, tc sim.TableCompiler, est *estimat
 }
 
 // State exposes the live network state (for status snapshots and the
-// adaptive scheme's rederivation; callers must not mutate it outside the
-// server's decision loop).
+// adaptive scheme's rederivation; callers must not mutate it without
+// holding the server's lock).
 func (e *Engine) State() *sim.State { return e.st }
 
 // Metrics returns a snapshot of the decision counters.

@@ -82,7 +82,7 @@ func TestReplayEquivalence(t *testing.T) {
 		return reqs[i].release && !reqs[j].release // departures drain first
 	})
 
-	// Live replay through the server's decision loop, estimator disabled.
+	// Live replay through the server, estimator disabled.
 	srv, err := NewServer(Config{Graph: g, Policy: pol})
 	if err != nil {
 		t.Fatal(err)

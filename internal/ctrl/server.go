@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/estimate"
@@ -12,8 +13,8 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrShutdown is returned for requests that arrive after Shutdown began
-// (or whose reply was pre-empted by it).
+// ErrShutdown is returned for requests made before Start or after
+// Shutdown.
 var ErrShutdown = errors.New("ctrl: server shutting down")
 
 // Config assembles a Server. Graph and Policy are required; everything
@@ -47,38 +48,39 @@ type Config struct {
 	Sink obs.Sink
 }
 
-// queueDepth is the request channel's buffer: a burst from many concurrent
-// HTTP handlers is absorbed without each handler waiting on the loop, and
-// enqueueing blocks only once the loop falls this many requests behind.
-const queueDepth = 1024
-
-// Server serializes admission control onto a single decision loop: HTTP
-// handlers (and the bench swarm) enqueue requests, the loop takes them one
-// at a time, applies each against the engine in arrival order, and
-// fans the responses back out on per-request reply channels. One loop
-// means no locks around sim.State and decisions identical to a sequential
-// replay, whatever the client concurrency.
+// Server serializes admission control under one mutex: every request —
+// from an HTTP handler, the daemon's tick or the bench swarm — takes the
+// lock and is decided on the caller's goroutine, one at a time, so
+// sim.State is only ever touched by the lock holder and decisions are
+// identical to a sequential replay in lock order, whatever the client
+// concurrency. The injected Clock and Sink run under the lock, so they
+// must not call back into the Server.
 type Server struct {
 	eng  *Engine
 	est  *estimate.Estimator
 	adpt *core.AdaptiveScheme
 	hook func(float64, *sim.State) // failure-epoch rederive, may be nil
 
+	// nodes resolves wire node names (first node of each name wins);
+	// read-only after NewServer, so handlers read it without the lock.
+	nodes map[string]graph.NodeID
+
 	clock        func() float64
 	refreshEvery float64
-	nextRefresh  float64
-	refreshes    uint64
-	now          float64 // high-water decision timestamp
+	sink         obs.Sink
 
-	sink obs.Sink
-	ev   obs.Event // the decision loop's one reusable event
-
-	reqs chan request
-	quit chan struct{}
-	done chan struct{}
+	// mu serializes every decision: the engine, the estimator, the
+	// adaptive scheme and the fields below are touched only under it.
+	mu          sync.Mutex
+	started     bool // Start ran
+	closed      bool // Shutdown ran; a later Start does not reopen
+	nextRefresh float64
+	refreshes   uint64
+	now         float64   // high-water decision timestamp
+	ev          obs.Event // the one reusable decision event
 }
 
-// request is one queued decision with its reply channel.
+// request is one decision to make.
 type request struct {
 	kind  reqKind
 	at    float64
@@ -92,7 +94,6 @@ type request struct {
 		link graph.LinkID
 		down bool
 	}
-	reply chan reply
 }
 
 type reqKind uint8
@@ -125,7 +126,8 @@ type Status struct {
 	Estimates   []float64 `json:"estimates,omitempty"`
 }
 
-// NewServer builds the server and its engine; Start launches the loop.
+// NewServer builds the server and its engine; Start opens it for
+// requests.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Graph == nil || cfg.Policy == nil {
 		return nil, fmt.Errorf("ctrl: config needs Graph and Policy")
@@ -146,9 +148,10 @@ func NewServer(cfg Config) (*Server, error) {
 		refreshEvery: refresh,
 		nextRefresh:  refresh,
 		sink:         cfg.Sink,
-		reqs:         make(chan request, queueDepth),
-		quit:         make(chan struct{}),
-		done:         make(chan struct{}),
+		nodes:        make(map[string]graph.NodeID, cfg.Graph.NumNodes()),
+	}
+	for i := cfg.Graph.NumNodes() - 1; i >= 0; i-- {
+		s.nodes[cfg.Graph.NodeName(graph.NodeID(i))] = graph.NodeID(i)
 	}
 	if s.adpt != nil {
 		s.hook = s.adpt.Hook()
@@ -160,41 +163,20 @@ func NewServer(cfg Config) (*Server, error) {
 // before Start or after Shutdown).
 func (s *Server) Engine() *Engine { return s.eng }
 
-// Start launches the decision loop.
-//
-//altlint:spawn-ok single serialized decision loop; joined by Shutdown via the done channel
+// Start opens the server for requests.
 func (s *Server) Start() {
-	go s.serve()
+	s.mu.Lock()
+	s.started = true
+	s.mu.Unlock()
 }
 
-// Shutdown stops the loop gracefully: no new requests are accepted, every
-// decision already enqueued is drained and answered, then the loop exits.
-// It blocks until the drain completes; flushing sinks (JSONL) is the
-// caller's job afterwards, once no more events can be emitted.
+// Shutdown closes the server: a decision that holds the lock finishes and
+// is answered, and every later request gets ErrShutdown. Once it returns
+// no more events are emitted, so flushing sinks (JSONL) is safe.
 func (s *Server) Shutdown() {
-	close(s.quit)
-	<-s.done
-}
-
-// serve is the decision loop: decide each request in arrival order.
-func (s *Server) serve() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.quit:
-			// Drain in-flight decisions, then stop.
-			for {
-				select {
-				case r := <-s.reqs:
-					s.handle(r)
-				default:
-					return
-				}
-			}
-		case r := <-s.reqs:
-			s.handle(r)
-		}
-	}
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 }
 
 // stamp resolves a request's decision timestamp and advances the server's
@@ -214,10 +196,10 @@ func (s *Server) stamp(r request) float64 {
 	return at
 }
 
-// handle decides one request and fans the reply back out. With a sink
-// attached, each event is filled into the loop's one reusable event and
+// handle decides one request; the caller holds s.mu. With a sink
+// attached, each event is filled into the server's one reusable event and
 // emitted; without one, nothing is filled.
-func (s *Server) handle(r request) {
+func (s *Server) handle(r request) reply {
 	var rep reply
 	instrumented := s.sink != nil
 	switch r.kind {
@@ -283,9 +265,7 @@ func (s *Server) handle(r request) {
 		}
 		s.maybeRefresh(at)
 	}
-	if r.reply != nil {
-		r.reply <- rep
-	}
+	return rep
 }
 
 // maybeRefresh runs due estimate epochs: fold the estimator's windows,
@@ -311,7 +291,7 @@ func (s *Server) maybeRefresh(now float64) {
 	}
 }
 
-// statusLocked snapshots the server from inside the decision loop.
+// statusLocked snapshots the server; the caller holds s.mu.
 func (s *Server) statusLocked() Status {
 	st := Status{
 		Metrics:   s.eng.Metrics(),
@@ -330,27 +310,16 @@ func (s *Server) statusLocked() Status {
 	return st
 }
 
-// do enqueues a request and waits for its reply; ErrShutdown if the
-// server is draining.
+// do decides one request under the lock; ErrShutdown before Start or
+// after Shutdown.
 func (s *Server) do(r request) (reply, error) {
-	r.reply = make(chan reply, 1)
-	select {
-	case s.reqs <- r:
-	case <-s.quit:
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.started || s.closed {
 		return reply{}, ErrShutdown
 	}
-	select {
-	case rep := <-r.reply:
-		return rep, rep.err
-	case <-s.done:
-		// The loop may have answered just before exiting.
-		select {
-		case rep := <-r.reply:
-			return rep, rep.err
-		default:
-			return reply{}, ErrShutdown
-		}
-	}
+	rep := s.handle(r)
+	return rep, rep.err
 }
 
 // Admit requests one admission decision. hasAt=false stamps the request

@@ -3,6 +3,7 @@ package ctrl
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -121,7 +122,7 @@ func TestServerHTTPWire(t *testing.T) {
 }
 
 // TestServerConcurrentSwarmSerializes fires concurrent clients at the
-// decision loop and checks conservation: every admitted call books links,
+// server and checks conservation: every admitted call books links,
 // every release frees them, and the final occupancy is exactly the
 // in-flight calls' hops — whatever the interleaving.
 func TestServerConcurrentSwarmSerializes(t *testing.T) {
@@ -130,6 +131,9 @@ func TestServerConcurrentSwarmSerializes(t *testing.T) {
 	srv, err := NewServer(Config{Graph: g, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := srv.Admit(9999, 0, 1, 0, true); !errors.Is(err, ErrShutdown) {
+		t.Errorf("admit before Start: %v, want ErrShutdown", err)
 	}
 	srv.Start()
 
@@ -173,9 +177,107 @@ func TestServerConcurrentSwarmSerializes(t *testing.T) {
 		t.Errorf("ingest errors under swarm: %+v", m)
 	}
 
-	// After shutdown the loop is gone: requests fail with ErrShutdown.
-	if _, err := srv.Admit(9999, 0, 1, 0, true); err == nil {
-		t.Error("admit after shutdown must fail")
+	// After shutdown the server is closed, even to a later Start.
+	srv.Start()
+	if _, err := srv.Admit(9999, 0, 1, 0, true); !errors.Is(err, ErrShutdown) {
+		t.Errorf("admit after Shutdown: %v, want ErrShutdown", err)
+	}
+}
+
+// TestServerShutdownMidSwarm shuts the server down under a concurrent
+// admit/release swarm: every call gets a decision or ErrShutdown, nothing
+// is decided after Shutdown returns, and the books balance — offered =
+// admitted + blocked, and the occupancy left is exactly the hops of the
+// calls still in flight.
+func TestServerShutdownMidSwarm(t *testing.T) {
+	g := netmodel.Quadrangle()
+	srv, err := NewServer(Config{Graph: g, Policy: quadranglePolicy(t, g, 85), Sink: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+
+	// Each client decides until it is refused; the cap only bounds a
+	// Shutdown that never comes.
+	const clients, stride, warm = 8, 1 << 20, 100
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		inFlight int // hops booked by admitted, unreleased calls
+		refused  int // calls answered with ErrShutdown
+	)
+	started := make(chan struct{}, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			hops := 0
+			defer func() {
+				mu.Lock()
+				inFlight += hops
+				mu.Unlock()
+			}()
+			refuse := func() {
+				mu.Lock()
+				refused++
+				mu.Unlock()
+			}
+			for i := 0; i < stride; i++ {
+				if i == warm {
+					started <- struct{}{}
+				}
+				id := int64(c*stride + i)
+				o := graph.NodeID(int(id) % 4)
+				d := graph.NodeID((int(id) + 1 + int(id)%3) % 4)
+				dec, err := srv.Admit(id, o, d, float64(i), true)
+				if errors.Is(err, ErrShutdown) {
+					refuse()
+					return
+				}
+				if err != nil {
+					t.Errorf("admit %d: %v", id, err)
+					return
+				}
+				if !dec.Admitted {
+					continue
+				}
+				hops += len(dec.Links)
+				if id%2 == 0 {
+					switch err := srv.Release(id, float64(i), true); {
+					case errors.Is(err, ErrShutdown):
+						refuse()
+						return
+					case err != nil:
+						t.Errorf("release %d: %v", id, err)
+						return
+					}
+					hops -= len(dec.Links)
+				}
+			}
+		}(c)
+	}
+	for c := 0; c < clients; c++ {
+		<-started
+	}
+	srv.Shutdown()
+	m := srv.Engine().Metrics()
+	occ := srv.Engine().State().TotalOccupancy()
+	wg.Wait()
+
+	if refused != clients {
+		t.Errorf("%d clients refused, want all %d", refused, clients)
+	}
+	if after := srv.Engine().Metrics(); after != m {
+		t.Errorf("decisions after Shutdown returned: %+v → %+v", m, after)
+	}
+	if m.Admitted+m.Blocked != m.Offered {
+		t.Errorf("admitted %d + blocked %d != offered %d", m.Admitted, m.Blocked, m.Offered)
+	}
+	if m.UnknownReleases != 0 || m.ReleaseIdle != 0 || m.DuplicateAdmits != 0 {
+		t.Errorf("ingest errors under swarm: %+v", m)
+	}
+	if occ != inFlight {
+		t.Errorf("total occupancy %d, want %d (hops of the calls still in flight)", occ, inFlight)
 	}
 }
 
@@ -294,7 +396,7 @@ func TestServerTopologyRejectsWholeRequest(t *testing.T) {
 	}
 }
 
-// TestServerSinkAddsNoAllocs: the decision loop fills its one reusable
+// TestServerSinkAddsNoAllocs: the server fills its one reusable
 // event in place, so attaching a sink costs a decision no allocation.
 func TestServerSinkAddsNoAllocs(t *testing.T) {
 	g := netmodel.Quadrangle()
