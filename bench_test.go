@@ -7,6 +7,7 @@ package altroute_test
 // minutes; the cmd/altsim harness runs the paper-fidelity versions.
 
 import (
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -315,6 +316,139 @@ func BenchmarkRunCalls(b *testing.B) {
 		b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "calls/sec")
 		b.ReportMetric(carried, "carried/unit")
 	})
+}
+
+// --- Host-speed reference (BENCH.json: the "per" of the BenchmarkRunCalls calls/sec records) ---
+
+// A shared host's speed drifts by up to 2× between spells, so an absolute
+// calls/sec floor fails on unchanged code. BenchmarkHostReference is the
+// denominator that makes those floors host-relative: a fixed loss network
+// on the standard library alone, which never changes with the code under
+// test and does the same work every op. Run in the same go test
+// invocation as BenchmarkRunCalls, in alternating rounds, it slows with
+// the host as the simulator does, and benchguard compares the median
+// ratio of the two.
+//
+// Every ordered pair of a refRing-node ring offers Poisson calls at
+// refRate that hold one circuit on each link of the clockwise arc from
+// origin to destination for an exponential time of mean 1, or are lost
+// when a link of the arc is full. The pairs' next arrivals sit on a
+// binary min-heap, in-progress calls on another; one seeded math/rand
+// generator draws every epoch.
+const (
+	refRing, refCap, refCalls = 10, 30, 40_000
+	// Each link lies on the arcs of refRing·(refRing−1)/2 pairs, so this
+	// rate offers each link its capacity in Erlangs.
+	refRate = float64(refCap) / (refRing * (refRing - 1) / 2)
+)
+
+// refEvent is a pair's next arrival, or an in-progress call's departure.
+type refEvent struct {
+	at   float64
+	pair int32
+}
+
+// refHeap is a binary min-heap of events by epoch.
+type refHeap []refEvent
+
+func (h refHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].at < h[c].at {
+			c++
+		}
+		if h[i].at <= h[c].at {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func (h *refHeap) push(e refEvent) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p].at <= s[i].at {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+}
+
+func (h *refHeap) pop() refEvent {
+	s := *h
+	e := s[0]
+	s[0] = s[len(s)-1]
+	*h = s[:len(s)-1]
+	h.down(0)
+	return e
+}
+
+// refArc returns the first link and hop count of a pair's clockwise arc;
+// link k joins node k to node k+1 (mod refRing).
+func refArc(pair int32) (first, hops int) {
+	o, d := int(pair)/(refRing-1), int(pair)%(refRing-1)
+	if d >= o {
+		d++ // skip the origin itself
+	}
+	return o, (d - o + refRing) % refRing
+}
+
+// hostReference simulates refCalls arrivals from the same seed every time
+// and returns how many were lost.
+func hostReference(arr, deps refHeap) (lost int) {
+	g := rand.New(rand.NewSource(1))
+	var occ [refRing]int
+	arr, deps = arr[:0], deps[:0]
+	for p := int32(0); p < refRing*(refRing-1); p++ {
+		arr.push(refEvent{g.ExpFloat64() / refRate, p})
+	}
+	for c := 0; c < refCalls; c++ {
+		e := arr[0]
+		for len(deps) > 0 && deps[0].at <= e.at {
+			first, hops := refArc(deps.pop().pair)
+			for h := 0; h < hops; h++ {
+				occ[(first+h)%refRing]--
+			}
+		}
+		first, hops := refArc(e.pair)
+		admit := true
+		for h := 0; h < hops && admit; h++ {
+			admit = occ[(first+h)%refRing] < refCap
+		}
+		if admit {
+			for h := 0; h < hops; h++ {
+				occ[(first+h)%refRing]++
+			}
+			deps.push(refEvent{e.at + g.ExpFloat64(), e.pair})
+		} else {
+			lost++
+		}
+		arr[0].at += g.ExpFloat64() / refRate
+		arr.down(0)
+	}
+	return lost
+}
+
+// BenchmarkHostReference reports the reference network's calls/sec.
+func BenchmarkHostReference(b *testing.B) {
+	arr := make(refHeap, 0, refRing*(refRing-1))
+	deps := make(refHeap, 0, refRing*refCap)
+	lost := 0
+	for i := 0; i < b.N; i++ {
+		lost = hostReference(arr, deps)
+	}
+	b.StopTimer()
+	if lost == 0 || lost == refCalls {
+		b.Fatalf("%d of %d reference calls lost: the network is not loaded as intended", lost, refCalls)
+	}
+	b.ReportMetric(float64(b.N)*refCalls/b.Elapsed().Seconds(), "calls/sec")
 }
 
 // BenchmarkEq15Search measures the Equation-15 protection-level derivation

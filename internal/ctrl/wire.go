@@ -132,8 +132,15 @@ func decode(w http.ResponseWriter, body []byte, v any) bool {
 	return true
 }
 
+// errorReply is the body of every reply that carries nothing but an
+// error: a 400 or 413 refusal of the request body, or a failed /status.
+type errorReply struct {
+	Error string `json:"error"`
+}
+
+// httpError sends msg as a JSON error reply, escaped by encoding/json.
 func httpError(w http.ResponseWriter, code int, msg string) {
-	http.Error(w, fmt.Sprintf(`{"error":%q}`, msg), code)
+	writeJSON(w, code, errorReply{Error: msg})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

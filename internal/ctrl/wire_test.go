@@ -221,3 +221,57 @@ func TestBodyCap(t *testing.T) {
 			before.Metrics, before.Occupancy, after.Metrics, after.Occupancy)
 	}
 }
+
+// TestErrorRepliesAreJSON: every error-only reply is application/json and
+// decodes with encoding/json to its message — also a message holding a
+// control byte, quotes and markup, whose Go-quoted form (`\x01`) is not
+// JSON — and so are the server's real 400 and 413 refusals.
+func TestErrorRepliesAreJSON(t *testing.T) {
+	check := func(what string, code int, header http.Header, body []byte, wantCode int, wantMsg string) {
+		t.Helper()
+		if ct := header.Get("Content-Type"); code != wantCode || ct != "application/json" {
+			t.Errorf("%s: status %d, Content-Type %q; want %d, application/json", what, code, ct, wantCode)
+		}
+		var e struct{ Error string }
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Errorf("%s: body %q does not decode: %v", what, body, err)
+		} else if wantMsg != "" && e.Error != wantMsg || e.Error == "" {
+			t.Errorf("%s: error %q, want %q", what, e.Error, wantMsg)
+		}
+	}
+	const msg = "bad \x01 \"request\" <b>é\t"
+	for _, code := range []int{http.StatusBadRequest, http.StatusRequestEntityTooLarge} {
+		rec := httptest.NewRecorder()
+		httpError(rec, code, msg)
+		check(fmt.Sprintf("httpError %d", code), rec.Code, rec.Header(), rec.Body.Bytes(), code, msg)
+	}
+
+	g := netmodel.Quadrangle()
+	srv, err := NewServer(Config{Graph: g, Policy: quadranglePolicy(t, g, 85)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown()
+	ts := httptest.NewServer(srv.Mux())
+	defer ts.Close()
+	for _, c := range []struct {
+		body string
+		code int
+	}{
+		{`{"id":1,"<\u0001>":2}`, http.StatusBadRequest},
+		{`{"id":1,"from":"node0","to":"node1"}` + strings.Repeat(" ", maxBody), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/admit", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		_, err = body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("/admit %.20q", c.body), resp.StatusCode, resp.Header, body.Bytes(), c.code, "")
+	}
+}

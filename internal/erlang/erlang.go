@@ -185,35 +185,3 @@ func LossBound(load float64, capacity, r int) float64 {
 	}
 	return Ratio(load, capacity, capacity-r)
 }
-
-// OfferedFromBlocking inverts Erlang-B in the load argument: it returns the
-// offered load λ such that B(λ, capacity) = blocking, found by bisection.
-// blocking must lie in (0, 1); capacity must be >= 1. The result is accurate
-// to within 1e-9 relative tolerance.
-func OfferedFromBlocking(blocking float64, capacity int) (float64, error) {
-	if capacity < 1 {
-		return 0, fmt.Errorf("%w: capacity %d", ErrInvalidArgument, capacity)
-	}
-	if !(blocking > 0 && blocking < 1) {
-		return 0, fmt.Errorf("%w: blocking %v must be in (0,1)", ErrInvalidArgument, blocking)
-	}
-	lo, hi := 0.0, float64(capacity)
-	for B(hi, capacity) < blocking {
-		hi *= 2
-		if hi > 1e12 {
-			return 0, fmt.Errorf("erlang: blocking target %v unreachable", blocking)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if B(mid, capacity) < blocking {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo <= 1e-9*hi {
-			break
-		}
-	}
-	return (lo + hi) / 2, nil
-}

@@ -249,29 +249,6 @@ func TestLossBound(t *testing.T) {
 	}
 }
 
-func TestOfferedFromBlocking(t *testing.T) {
-	for _, c := range []int{1, 10, 100} {
-		for _, bl := range []float64{0.001, 0.01, 0.1, 0.5} {
-			load, err := OfferedFromBlocking(bl, c)
-			if err != nil {
-				t.Fatalf("OfferedFromBlocking(%v,%d): %v", bl, c, err)
-			}
-			if got := B(load, c); math.Abs(got-bl) > 1e-7 {
-				t.Errorf("round trip B(%v,%d) = %v, want %v", load, c, got, bl)
-			}
-		}
-	}
-	if _, err := OfferedFromBlocking(0, 10); err == nil {
-		t.Error("blocking=0: want error")
-	}
-	if _, err := OfferedFromBlocking(1, 10); err == nil {
-		t.Error("blocking=1: want error")
-	}
-	if _, err := OfferedFromBlocking(0.5, 0); err == nil {
-		t.Error("capacity=0: want error")
-	}
-}
-
 func TestPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()

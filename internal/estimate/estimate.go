@@ -65,18 +65,6 @@ func New(g *graph.Graph, window, alpha float64) (*Estimator, error) {
 	}, nil
 }
 
-// Prime seeds the estimates (indexed by LinkID).
-func (e *Estimator) Prime(loads []float64) error {
-	if len(loads) != len(e.estimates) {
-		return fmt.Errorf("estimate: %d loads for %d links", len(loads), len(e.estimates))
-	}
-	copy(e.estimates, loads)
-	for i := range e.primed {
-		e.primed[i] = true
-	}
-	return nil
-}
-
 // ObserveSetup records a primary call set-up traversing the path at the
 // given time. Per the paper's convention, the set-up packet travels link by
 // link until it is first blocked, so each link up to and including the first

@@ -55,32 +55,6 @@ func TestEstimatorStopsAtBlockingLink(t *testing.T) {
 	}
 }
 
-func TestPrime(t *testing.T) {
-	g := netmodel.Quadrangle()
-	e, err := New(g, 5, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loads := make([]float64, g.NumLinks())
-	for i := range loads {
-		loads[i] = 42
-	}
-	if err := e.Prime(loads); err != nil {
-		t.Fatal(err)
-	}
-	if e.Estimate(0) != 42 {
-		t.Errorf("primed estimate %v", e.Estimate(0))
-	}
-	if err := e.Prime([]float64{1}); err == nil {
-		t.Error("bad length: want error")
-	}
-	// EWMA pulls a primed estimate toward the observed rate.
-	e.roll(6)
-	if got := e.Estimate(0); got >= 42 {
-		t.Errorf("estimate %v should decay toward observed 0", got)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, 5, 0.3); err == nil {
 		t.Error("nil graph: want error")

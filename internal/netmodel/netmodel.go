@@ -130,53 +130,3 @@ func NSFNetFailureScenarios() map[string][2]graph.NodeID {
 		"fail-7-9": {7, 9},
 	}
 }
-
-// Grid returns a w×h duplex mesh grid (no wrap-around): node (x, y) is
-// index y·w + x, connected to its horizontal and vertical neighbours. Grids
-// are the classic datacenter/transport abstraction used by the
-// generalization experiments.
-func Grid(w, h, capacity int) *graph.Graph {
-	g := graph.New()
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			g.AddNode(fmt.Sprintf("g%d_%d", x, y))
-		}
-	}
-	id := func(x, y int) graph.NodeID { return graph.NodeID(y*w + x) }
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if x+1 < w {
-				if _, _, err := g.AddDuplex(id(x, y), id(x+1, y), capacity); err != nil {
-					panic(err)
-				}
-			}
-			if y+1 < h {
-				if _, _, err := g.AddDuplex(id(x, y), id(x, y+1), capacity); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	return g
-}
-
-// Torus returns a w×h duplex torus (grid with wrap-around links); w and h
-// must be at least 3 so wrap links do not duplicate grid links.
-func Torus(w, h, capacity int) *graph.Graph {
-	if w < 3 || h < 3 {
-		panic(fmt.Errorf("netmodel: torus needs w,h >= 3 (got %d×%d)", w, h))
-	}
-	g := Grid(w, h, capacity)
-	id := func(x, y int) graph.NodeID { return graph.NodeID(y*w + x) }
-	for y := 0; y < h; y++ {
-		if _, _, err := g.AddDuplex(id(w-1, y), id(0, y), capacity); err != nil {
-			panic(err)
-		}
-	}
-	for x := 0; x < w; x++ {
-		if _, _, err := g.AddDuplex(id(x, h-1), id(x, 0), capacity); err != nil {
-			panic(err)
-		}
-	}
-	return g
-}

@@ -181,42 +181,3 @@ func TestNSFNetPrimaryHopHistogram(t *testing.T) {
 		}
 	}
 }
-
-func TestGridAndTorus(t *testing.T) {
-	g := Grid(3, 2, 7)
-	if g.NumNodes() != 6 {
-		t.Errorf("grid nodes = %d", g.NumNodes())
-	}
-	// 3×2 grid: horizontal edges 2 per row × 2 rows = 4; vertical 3 → 7
-	// duplex = 14 directed.
-	if g.NumLinks() != 14 {
-		t.Errorf("grid links = %d, want 14", g.NumLinks())
-	}
-	if !g.Connected() {
-		t.Error("grid must be connected")
-	}
-	// Corner (0,0) has exactly 2 neighbours.
-	if n := len(g.Neighbors(0)); n != 2 {
-		t.Errorf("corner degree %d, want 2", n)
-	}
-
-	tor := Torus(3, 3, 7)
-	if tor.NumNodes() != 9 {
-		t.Errorf("torus nodes = %d", tor.NumNodes())
-	}
-	// Torus is 4-regular: 9 nodes × 4 / 2 = 18 duplex = 36 directed.
-	if tor.NumLinks() != 36 {
-		t.Errorf("torus links = %d, want 36", tor.NumLinks())
-	}
-	for v := graph.NodeID(0); v < 9; v++ {
-		if n := len(tor.Neighbors(v)); n != 4 {
-			t.Errorf("torus node %d degree %d, want 4", v, n)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("small torus should panic")
-		}
-	}()
-	Torus(2, 3, 1)
-}

@@ -28,8 +28,13 @@ type Thresholds struct {
 	// backing array, reused across rebuilds.
 	thresh [][]int
 	back   []int
-	// defAlt is the set alternates use when comp.AltSet is nil.
-	defAlt int
+	// Copies, taken at Reset, of the bound table's arrays and of the two
+	// threshold sets most calls read — set 0 (prim) and the set
+	// alternates use when comp.AltSet is nil (alt) — so Decide reads them
+	// off t instead of through comp and its Flat on every call.
+	pairOff, altStart, rowOff []int32
+	links                     []graph.LinkID
+	prim, alt                 []int
 }
 
 // Reset (re)binds t to comp over a numNodes-node, numLinks-link network
@@ -83,10 +88,9 @@ func (t *Thresholds) Reset(comp *Compiled, numNodes, numLinks int, linkCap func(
 			ts[id] = c - r - 1
 		}
 	}
-	t.defAlt = 0
-	if sets > 1 {
-		t.defAlt = 1
-	}
+	t.prim, t.alt = t.thresh[0], t.thresh[min(1, sets-1)]
+	f := comp.Flat
+	t.pairOff, t.altStart, t.rowOff, t.links = f.PairOff, f.AltStart, f.RowOff, f.Links
 	return true
 }
 
@@ -111,11 +115,10 @@ func (t *Thresholds) Table() *Compiled { return t.comp }
 //
 //altlint:hotpath
 func (t *Thresholds) Decide(occ []int, pair int, callID int64) (prim, row int32, blockIdx int) {
-	f := t.comp
-	if uint(pair) >= uint(len(f.AltStart)) {
+	if uint(pair) >= uint(len(t.altStart)) {
 		return NoRow, NoRow, -1
 	}
-	start, alt0 := f.PairOff[pair], f.AltStart[pair]
+	start, alt0 := t.pairOff[pair], t.altStart[pair]
 	if alt0 == start {
 		return NoRow, NoRow, -1
 	}
@@ -123,6 +126,7 @@ func (t *Thresholds) Decide(occ []int, pair int, callID int64) (prim, row int32,
 	if alt0-start > 1 {
 		// Reproduces the source table's weighted draw against the
 		// precomputed cumulative sums.
+		f := t.comp
 		u := xrand.Uniform01(f.SelectorSeed, callID)
 		prim = alt0 - 1
 		for r := start; r < alt0; r++ {
@@ -132,17 +136,18 @@ func (t *Thresholds) Decide(occ []int, pair int, callID int64) (prim, row int32,
 			}
 		}
 	}
-	blockIdx = firstOver(occ, f.Row(prim), t.thresh[0])
+	rowOff, links := t.rowOff, t.links
+	blockIdx = firstOver(occ, links[rowOff[prim]:rowOff[prim+1]], t.prim)
 	if blockIdx < 0 {
 		return prim, prim, -1
 	}
-	if !f.NoAlternates {
-		for r, end := alt0, f.PairOff[pair+1]; r < end; r++ {
-			ts := t.thresh[t.defAlt]
+	if f := t.comp; !f.NoAlternates {
+		for r, end := alt0, t.pairOff[pair+1]; r < end; r++ {
+			ts := t.alt
 			if f.AltSet != nil {
 				ts = t.thresh[f.AltSet[r]]
 			}
-			if firstOver(occ, f.Row(r), ts) < 0 {
+			if firstOver(occ, links[rowOff[r]:rowOff[r+1]], ts) < 0 {
 				return prim, r, blockIdx
 			}
 		}

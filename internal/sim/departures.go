@@ -37,10 +37,11 @@ type departureQueue struct {
 	base []graph.LinkID
 	// needMeta is set when the run has failure-plan events: only then can
 	// extract ever read meta, so plan-less runs skip the per-push meta
-	// store entirely. It also forces every push through the pool (pushRow
-	// included), so extraction — which happens only on such runs — always
-	// finds pooled entries with meta, even across mid-run recompiles that
-	// would invalidate ref encodings.
+	// store entirely. It also makes the event loop push compiled rows
+	// through the pool instead of inserting row references, so extraction
+	// — which happens only on such runs — always finds pooled entries with
+	// meta, even across mid-run recompiles that would invalidate ref
+	// encodings.
 	needMeta bool
 }
 
@@ -84,21 +85,6 @@ func (q *departureQueue) push(at float64, p paths.Path, m depMeta) {
 	}
 }
 
-// pushRow schedules a teardown of the route-table row base[off:off+n] —
-// the compiled engine's admission result. On a plan-less run the row
-// reference is stored in the entry itself and the pool is never touched;
-// with failure events pending the path is pooled like any other, so
-// extraction sees meta and survives table recompiles.
-//
-//altlint:hotpath
-func (q *departureQueue) pushRow(at float64, off, n int32, m depMeta) {
-	if q.needMeta {
-		q.push(at, paths.Path{Links: q.base[off : off+n]}, m)
-		return
-	}
-	q.cal.Insert(depEntry{At: at, Ref: off, N: n})
-}
-
 // release decodes a popped entry's path (popped with cal.PopTo) and
 // returns its pool slot, if any, to the free list. The pooled path is only valid until the slot is
 // reused by the next push.
@@ -126,7 +112,7 @@ type torndown struct {
 func (q *departureQueue) extract(hit func(paths.Path) bool) []torndown {
 	var out []torndown
 	// Extraction only happens on runs with failure events, where needMeta
-	// forces every entry through the pool (see pushRow).
+	// forces every entry through the pool (see needMeta).
 	take := func(e depEntry) bool {
 		if !hit(q.pool[e.N]) {
 			return false

@@ -9,8 +9,8 @@ import (
 
 // TestDepartureQueueExtractKeepsOrder covers what departureQueue adds to
 // the calendar (whose own ordering FuzzQueueMatchesReference pins): pooled
-// and row-encoded paths, the side list of a run with failure events, and
-// extraction across both. Extraction takes every hit, calendar and side
+// paths, the side list of a run with failure events, and extraction
+// across both. Extraction takes every hit, calendar and side
 // list alike; the survivors pop in (epoch, push) order and the side list
 // keeps its push order.
 func TestDepartureQueueExtractKeepsOrder(t *testing.T) {
@@ -23,20 +23,15 @@ func TestDepartureQueueExtractKeepsOrder(t *testing.T) {
 	q.init(horizon, true)
 	q.base = base
 	// Ids 0–19: epochs cycle 4, 12, 4, 12 …, so half lie past the horizon
-	// and the ones inside share one epoch (a push-order tie). Even ids are
-	// row-encoded, odd ones pooled; with failure events both go through
-	// the pool.
+	// and the ones inside share one epoch (a push-order tie). With
+	// failure events every path goes through the pool, compiled rows
+	// included.
 	for id := int32(0); id < 20; id++ {
 		at := 4.0
 		if id%2 == 1 {
 			at = 12
 		}
-		m := depMeta{id: int64(id)}
-		if id%4 < 2 {
-			q.pushRow(at, id, 1, m)
-		} else {
-			q.push(at, paths.Path{Links: base[id : id+1]}, m)
-		}
+		q.push(at, paths.Path{Links: base[id : id+1]}, depMeta{id: int64(id)})
 	}
 	torn := q.extract(func(p paths.Path) bool { return p.Links[0]%3 == 0 })
 	got := map[int64]bool{}

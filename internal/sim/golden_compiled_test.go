@@ -160,10 +160,10 @@ func TestGoldenCompiledShortProtection(t *testing.T) {
 	}
 }
 
-// TestGoldenCompiledStream covers stream-fed arrivals pulled one call at
-// a time with Source.Next: the compiled engine consuming an arrival Source
-// must match the interpreted engine consuming an identical, independently
-// constructed Source.
+// TestGoldenCompiledStream covers stream-fed arrivals, read slab by slab
+// in place: the compiled engine consuming an arrival Source must match the
+// interpreted engine consuming an identical, independently constructed
+// Source.
 func TestGoldenCompiledStream(t *testing.T) {
 	for _, sc := range goldenScenarios(t) {
 		pol := compiledGoldenPolicies(t, sc)["controlled"]

@@ -162,12 +162,7 @@ func (r *Result) PairBlockingOK(i, j graph.NodeID) (float64, bool) {
 	return float64(r.PerPairBlocked[[2]graph.NodeID{i, j}]) / float64(off), true
 }
 
-// loop is one run's event-loop state. Its one arrival loop (run) admits
-// each call either through the compiled kernel (admitOne, see compiled.go)
-// or through Policy.Route (admitRoute); both drive the same bookkeeping
-// methods in the same order, so the two admission paths are bit-identical
-// by construction everywhere except the routing decision itself — which
-// the compiled path reproduces exactly for the policies it accepts.
+// loop is one run's event-loop state; its one arrival loop is run.
 type loop struct {
 	cfg     Config
 	st      *State
@@ -186,6 +181,12 @@ type loop struct {
 
 	windows       []WindowStats
 	closedWindows int
+
+	// read is how many of a Trace's calls nextBatch has handed out; one
+	// holds the call pulled from a source that is neither a Trace nor a
+	// Stream.
+	read int
+	one  [1]Call
 
 	// util/last/occ implement the per-link lazy occupancy integral: each
 	// link's utilization sum is flushed only when that link's occupancy
@@ -395,7 +396,8 @@ func (l *loop) applyPlanGroup() {
 }
 
 // departed processes one popped teardown: utilization, release, event.
-// Each link is flushed and released in one pass, as drainFast does; a
+// Each link is flushed and released in one pass, as the arrival loop's
+// fused drain does; a
 // link's flush reads only that link's occupancy, so this is the same
 // arithmetic as flushing the whole path before releasing it.
 func (l *loop) departed(at float64, path paths.Path) {
@@ -419,62 +421,9 @@ func (l *loop) departed(at float64, path paths.Path) {
 // (pop on at <= epoch), so freed capacity is visible to the admission
 // decision — the event stream preserves that order. Departures tie ahead
 // of plan events at the same epoch: a call ending exactly when its link
-// fails completes normally.
+// fails completes normally. The arrival loop drains an uninstrumented
+// plan-less run through its own fused copy of the departure half.
 func (l *loop) drainTo(epoch float64) {
-	if l.pi < len(l.plan) || l.instrumented {
-		l.drainPlanTo(epoch)
-		return
-	}
-	l.drainFast(epoch)
-}
-
-// drainFast is drainTo's uninstrumented plan-less form: the same pop →
-// flush → release sequence as popTo+departed, fused into one loop with the
-// window bounds and slices held in locals. Every floating-point operation
-// is performed in the exact order of the general form, so the two drains
-// are bit-identical; only call overhead and re-loads of loop fields
-// differ.
-//
-//altlint:hotpath
-func (l *loop) drainFast(epoch float64) {
-	q := &l.deps
-	occ := l.occ
-	util := l.util[:len(occ)]
-	lastF := l.last[:len(occ)]
-	warm, hor := l.cfg.Warmup, l.horizon
-	for {
-		e, ok := q.cal.PopTo(epoch)
-		if !ok {
-			break
-		}
-		// Flush each link of the departed path at the teardown epoch —
-		// flushLink's body with the bounds in registers — then release
-		// (State.Release inlined; the idle-link panic guard is preserved).
-		for _, id := range q.release(e).Links {
-			lo := lastF[id]
-			if lo < warm {
-				lo = warm
-			}
-			hi := e.At
-			if hi > hor {
-				hi = hor
-			}
-			o := occ[id]
-			if hi > lo && o != 0 {
-				util[id] += (hi - lo) * float64(o)
-			}
-			lastF[id] = e.At
-			if o <= 0 {
-				panic(fmt.Errorf("sim: releasing idle link %d", id))
-			}
-			occ[id] = o - 1
-		}
-	}
-}
-
-// drainPlanTo is drainTo's general form — pending failure/repair events
-// (departures-first tie rule) or an instrumented run's departure events.
-func (l *loop) drainPlanTo(epoch float64) {
 	for {
 		if l.pi < len(l.plan) && l.plan[l.pi].Epoch <= epoch && !(l.deps.cal.Next() <= l.plan[l.pi].Epoch) {
 			l.applyPlanGroup()
@@ -488,175 +437,281 @@ func (l *loop) drainPlanTo(epoch float64) {
 	}
 }
 
-// offered records one arrival's offered-side bookkeeping (counters, window
-// bucket, CallOffered event) and returns whether the call is measured plus
-// its window bucket.
-func (l *loop) offered(c Call, pairIdx int) (measured bool, win *WindowStats) {
-	measured = c.Arrival >= l.cfg.Warmup
-	if l.cfg.WindowLength > 0 {
-		win = l.windowOf(c.Arrival)
-	}
-	if measured {
-		l.res.Offered++
-		l.pairOffered[pairIdx]++
-		if win != nil {
-			win.Offered++
-		}
-	}
-	if l.instrumented {
-		ev := l.ev.Reset(obs.KindCallOffered, c.Arrival)
-		ev.Call, ev.Origin, ev.Dest = c.ID, int(c.Origin), int(c.Dest)
-		ev.Measured, ev.Drained = measured, l.drained
-		obs.Emit(l.sink, ev)
-		l.drained = 0
-	}
-	return measured, win
+// tally is one run's arrival-side counters while the loop runs, kept in
+// the loop's frame and added into the Result once at the end.
+type tally struct {
+	offered, accepted, alternate, blocked, hops int64
 }
 
-// admittedRow records one admission of a compiled route-table row: the
-// teardown of base[off:off+hops] is scheduled (see departureQueue.pushRow,
-// no pool traffic on plan-less runs) and the carried-side counters and
-// events updated. The caller has already booked the row's links.
-func (l *loop) admittedRow(c Call, off, hops int32, alternate, measured bool) {
-	l.deps.pushRow(c.Arrival+c.Holding, off, hops, depMeta{
-		id: int64(c.ID), origin: int32(c.Origin), dest: int32(c.Dest),
-	})
-	l.admitTally(c, paths.Path{Links: l.deps.base[off : off+hops]}, alternate, measured)
+// addTo adds the counters into res. Every accepted call is a primary or an
+// alternate one, so the primary count is the difference.
+func (n *tally) addTo(res *Result) {
+	res.Offered += n.offered
+	res.Accepted += n.accepted
+	res.AlternateAccepted += n.alternate
+	res.PrimaryAccepted += n.accepted - n.alternate
+	res.Blocked += n.blocked
+	res.CarriedHopCount += n.hops
 }
 
-// admitTally updates the carried-side counters and events for one
-// admission.
-func (l *loop) admitTally(c Call, p paths.Path, alternate, measured bool) {
-	if measured {
-		l.res.Accepted++
-		l.res.CarriedHopCount += int64(p.Hops())
-		if alternate {
-			l.res.AlternateAccepted++
-		} else {
-			l.res.PrimaryAccepted++
-		}
+// nextBatch returns the next calls to read in place: a Trace's whole call
+// slice on the first call, a Stream's current slab, or one call pulled
+// from any other source with Next. It returns an empty batch once the
+// arrivals are exhausted.
+func (l *loop) nextBatch(stream *Stream) []Call {
+	switch {
+	case l.cfg.Trace != nil:
+		b := l.cfg.Trace.Calls[l.read:]
+		l.read = len(l.cfg.Trace.Calls)
+		return b
+	case stream != nil:
+		return stream.batch()
 	}
-	if l.instrumented {
-		ev := l.ev.Reset(obs.KindCallAdmitted, c.Arrival)
-		ev.Call, ev.Origin, ev.Dest = c.ID, int(c.Origin), int(c.Dest)
-		ev.Hops, ev.Alternate, ev.Measured = p.Hops(), alternate, measured
-		obs.Emit(l.sink, ev)
-		if l.occupancyEvents {
-			l.sampleOccupancy(c.Arrival, p)
-		}
+	c, ok := l.cfg.Source.Next()
+	if !ok {
+		return nil
 	}
+	l.one[0] = c
+	return l.one[:]
 }
 
-// blocked records one loss. blockAt is the first blocking link of the
-// call's primary path when measured (the paper's loss-attribution
-// convention), InvalidLink otherwise; the caller computes it so the two
-// engines can share this bookkeeping.
-func (l *loop) blocked(c Call, pairIdx int, measured bool, win *WindowStats, blockAt graph.LinkID) {
-	if measured {
-		l.res.Blocked++
-		l.pairBlocked[pairIdx]++
-		if win != nil {
-			win.Blocked++
-		}
-		if blockAt != graph.InvalidLink {
-			l.res.LostAtLink[blockAt]++
-		}
-	}
-	if l.instrumented {
-		ev := l.ev.Reset(obs.KindCallBlocked, c.Arrival)
-		ev.Call, ev.Origin, ev.Dest = c.ID, int(c.Origin), int(c.Dest)
-		ev.Link, ev.Measured = int(blockAt), measured
-		obs.Emit(l.sink, ev)
+// emitOffered, emitAdmitted and emitBlocked report one arrival's
+// decision on an instrumented run, its occupancy samples included.
+func (l *loop) emitOffered(c *Call, measured bool) {
+	ev := l.ev.Reset(obs.KindCallOffered, c.Arrival)
+	ev.Call, ev.Origin, ev.Dest = c.ID, int(c.Origin), int(c.Dest)
+	ev.Measured, ev.Drained = measured, l.drained
+	obs.Emit(l.sink, ev)
+	l.drained = 0
+}
+
+func (l *loop) emitAdmitted(c *Call, p []graph.LinkID, alternate, measured bool) {
+	ev := l.ev.Reset(obs.KindCallAdmitted, c.Arrival)
+	ev.Call, ev.Origin, ev.Dest = c.ID, int(c.Origin), int(c.Dest)
+	ev.Hops, ev.Alternate, ev.Measured = len(p), alternate, measured
+	obs.Emit(l.sink, ev)
+	if l.occupancyEvents {
+		l.sampleOccupancy(c.Arrival, paths.Path{Links: p})
 	}
 }
 
-// run is the event loop: arrivals one at a time — read in place from a
-// trace or pulled with Source.Next — each admitted through admitOne while
-// compiled, else admitRoute, after draining departures and plan events up
-// to its epoch (guarded by the nextDep/nextPlan scalars). Every plan group
-// triggers a recompile (a TopologyHook may have swapped tables): a failure
-// moves the run onto Policy.Route, a later success moves it back. A call
-// that fails Call.Check stops the run with its error.
+func (l *loop) emitBlocked(c *Call, blockAt graph.LinkID, measured bool) {
+	ev := l.ev.Reset(obs.KindCallBlocked, c.Arrival)
+	ev.Call, ev.Origin, ev.Dest = c.ID, int(c.Origin), int(c.Dest)
+	ev.Link, ev.Measured = int(blockAt), measured
+	obs.Emit(l.sink, ev)
+}
+
+// run is the event loop. Arrivals are read in place, by pointer, from the
+// batches nextBatch hands out; each is admitted after departures and plan
+// events up to its epoch are drained (guarded by the nextDep/nextPlan
+// scalars). While the policy is compiled, admission runs straight through
+// here: the shared kernel (routetable.Thresholds.Decide) picks the row,
+// each hop's occupancy integral is flushed at the arrival epoch and
+// incremented, and the teardown is queued; otherwise routeCall admits
+// through Policy.Route. Both feed the same counters and events in the
+// same order, so the two admission paths are bit-identical everywhere but
+// the routing decision itself — which the compiled path reproduces
+// exactly for the policies it accepts. Windows, emission and plan groups
+// are out-of-line calls behind flags read once before the loop. Every
+// plan group triggers a recompile (a TopologyHook may have swapped
+// tables): a failure moves the run onto Policy.Route, a later success
+// moves it back. A call that fails Call.Check stops the run with its
+// error.
 //
 //altlint:hotpath
 func (l *loop) run(th *routetable.Thresholds, compiled bool) error {
+	var rowOff []int32
+	var links []graph.LinkID
 	if compiled {
-		l.deps.base = th.Table().Links
+		f := th.Table()
+		rowOff, links = f.RowOff, f.Links
+		l.deps.base = links
 	}
+	stream, _ := l.cfg.Source.(*Stream)
 	nextDep, nextPlan := l.nextEpochs()
-	nodes := uint(l.numNodes)
-	replay := l.cfg.Trace != nil
-	var calls []Call
-	if replay {
-		calls = l.cfg.Trace.Calls
-	}
-	for i := 0; ; i++ {
-		var c Call
-		if replay {
-			if i >= len(calls) {
+	nodes := l.numNodes
+	warm, horizon := l.cfg.Warmup, l.horizon
+	windowed, instrumented, pooled := l.cfg.WindowLength > 0, l.instrumented, l.deps.needMeta
+	occ := l.occ
+	util, last := l.util[:len(occ)], l.last[:len(occ)]
+	pairOffered, pairBlocked, lostAt := l.pairOffered, l.pairBlocked, l.res.LostAtLink
+	var n tally
+	for batch := l.nextBatch(stream); len(batch) > 0; batch = l.nextBatch(stream) {
+		for i := range batch {
+			c := &batch[i]
+			if !c.valid(nodes) {
+				return c.Check(nodes)
+			}
+			if c.Arrival >= horizon {
+				n.addTo(l.res)
 				return nil
 			}
-			c = calls[i]
-		} else {
-			var more bool
-			if c, more = l.cfg.Source.Next(); !more {
-				return nil
-			}
-		}
-		if err := c.Check(l.numNodes); err != nil {
-			return err
-		}
-		if c.Arrival >= l.horizon {
-			return nil
-		}
-		if nextDep <= c.Arrival || nextPlan <= c.Arrival {
-			piBefore := l.pi
-			l.drainTo(c.Arrival)
-			if l.pi != piBefore {
-				if compiled = compileFor(l.cfg.Policy, l.st, th); compiled {
-					l.deps.base = th.Table().Links
+			if nextDep <= c.Arrival || nextPlan <= c.Arrival {
+				if !instrumented && l.pi == len(l.plan) {
+					// The uninstrumented plan-less drain, fused: pop,
+					// flush each link of the departed path at the
+					// teardown epoch — flushLink's body, without the
+					// horizon clip: a departure popped up to an arrival
+					// lies inside the horizon — and release it, as
+					// drainTo does through departed.
+					for {
+						e, ok := l.deps.cal.PopTo(c.Arrival)
+						if !ok {
+							break
+						}
+						for _, id := range l.deps.release(e).Links {
+							lo := last[id]
+							if lo < warm {
+								lo = warm
+							}
+							o := occ[id]
+							if e.At > lo && o != 0 {
+								util[id] += (e.At - lo) * float64(o)
+							}
+							last[id] = e.At
+							if o <= 0 {
+								idleRelease(id)
+							}
+							occ[id] = o - 1
+						}
+					}
+					nextDep = l.deps.cal.Next()
+				} else {
+					piBefore := l.pi
+					l.drainTo(c.Arrival)
+					if l.pi != piBefore {
+						if compiled = compileFor(l.cfg.Policy, l.st, th); compiled {
+							f := th.Table()
+							rowOff, links = f.RowOff, f.Links
+							l.deps.base = links
+						}
+					}
+					nextDep, nextPlan = l.nextEpochs()
 				}
 			}
-			nextDep, nextPlan = l.nextEpochs()
-		}
-		pairIdx := int(uint(c.Origin)*nodes + uint(c.Dest))
-		measured, win := l.offered(c, pairIdx)
-		var carried bool
-		if compiled {
-			carried = l.admitOne(th, c, pairIdx, measured, win)
-		} else {
-			carried = l.admitRoute(c, pairIdx, measured, win)
-		}
-		if dep := c.Arrival + c.Holding; carried && dep < nextDep {
-			nextDep = dep
+			pairIdx := int(uint(c.Origin)*uint(nodes) + uint(c.Dest))
+			measured := c.Arrival >= warm
+			var win *WindowStats
+			if windowed {
+				win = l.windowOf(c.Arrival)
+			}
+			if measured {
+				n.offered++
+				pairOffered[pairIdx]++
+				if win != nil {
+					win.Offered++
+				}
+			}
+			if instrumented {
+				l.emitOffered(c, measured)
+			}
+
+			var p []graph.LinkID // the admitted path
+			var alternate, ok bool
+			blockAt := graph.InvalidLink
+			if compiled {
+				prim, row, blockIdx := th.Decide(occ, pairIdx, int64(c.ID))
+				// A pair without primaries (prim == NoRow) is carried on
+				// the empty path, booking nothing, as the source table's
+				// nil route set is.
+				if ok = row != routetable.NoRow || prim == routetable.NoRow; ok {
+					off, end := int32(0), int32(0)
+					if row != routetable.NoRow {
+						off, end = rowOff[row], rowOff[row+1]
+					}
+					p, alternate = links[off:end:end], row != prim
+					// The scan just proved occ <= C−1 on every (up) hop, so
+					// the direct increments cannot overbook. Each hop is
+					// flushed at the arrival epoch before its increment —
+					// flushLink with the horizon clip elided (the arrival
+					// is inside the horizon), bit-identical to it.
+					for _, id := range p {
+						lo := last[id]
+						if lo < warm {
+							lo = warm
+						}
+						if o := occ[id]; c.Arrival > lo && o != 0 {
+							util[id] += (c.Arrival - lo) * float64(o)
+						}
+						last[id] = c.Arrival
+						occ[id]++
+					}
+					// A plan-less run queues the row reference itself (no
+					// pool traffic); with plan events every path is pooled
+					// with its call's identity (see departureQueue).
+					if dep := c.Arrival + c.Holding; pooled {
+						l.deps.push(dep, paths.Path{Links: p}, depMeta{
+							id: int64(c.ID), origin: int32(c.Origin), dest: int32(c.Dest),
+						})
+					} else {
+						l.deps.cal.Insert(depEntry{At: dep, Ref: off, N: end - off})
+					}
+				} else if measured {
+					blockAt = links[rowOff[prim]+int32(blockIdx)]
+				}
+			} else {
+				p, alternate, ok, blockAt = l.routeCall(c, measured)
+			}
+
+			if !ok {
+				if measured {
+					n.blocked++
+					pairBlocked[pairIdx]++
+					if win != nil {
+						win.Blocked++
+					}
+					if blockAt != graph.InvalidLink {
+						lostAt[blockAt]++
+					}
+				}
+				if instrumented {
+					l.emitBlocked(c, blockAt, measured)
+				}
+				continue
+			}
+			if measured {
+				n.accepted++
+				n.hops += int64(len(p))
+				if alternate {
+					n.alternate++
+				}
+			}
+			if instrumented {
+				l.emitAdmitted(c, p, alternate, measured)
+			}
+			if dep := c.Arrival + c.Holding; dep < nextDep {
+				nextDep = dep
+			}
 		}
 	}
+	n.addTo(l.res)
+	return nil
 }
 
-// admitRoute is admitOne through the policy's Route method: the admission
-// path for policies that do not compile, and for a compiled policy whose
-// mid-run recompile failed. It reports whether the call was carried.
-func (l *loop) admitRoute(c Call, pairIdx int, measured bool, win *WindowStats) bool {
-	if p, alternate, ok := l.cfg.Policy.Route(l.st, c); ok {
-		l.flushPath(p, c.Arrival)
-		l.st.Occupy(p)
-		l.deps.push(c.Arrival+c.Holding, p, depMeta{
+// routeCall admits one call through the policy's Route method — the
+// admission path for policies that do not compile, and for a compiled
+// policy whose mid-run recompile failed — booking the path and queueing
+// its teardown. A blocked call's loss is attributed, when measured, to
+// the first blocking link of its primary path (the paper's convention).
+func (l *loop) routeCall(c *Call, measured bool) (p []graph.LinkID, alternate, ok bool, blockAt graph.LinkID) {
+	blockAt = graph.InvalidLink
+	path, alternate, ok := l.cfg.Policy.Route(l.st, *c)
+	if ok {
+		l.flushPath(path, c.Arrival)
+		l.st.Occupy(path)
+		l.deps.push(c.Arrival+c.Holding, path, depMeta{
 			id: int64(c.ID), origin: int32(c.Origin), dest: int32(c.Dest),
 		})
-		l.admitTally(c, p, alternate, measured)
-		return true
+		return path.Links, alternate, true, blockAt
 	}
-	blockAt := graph.InvalidLink
 	if measured {
-		// Attribute the loss to the first blocking link of the primary
-		// path (paper's convention).
-		primary := l.cfg.Policy.PrimaryPath(l.st, c)
+		primary := l.cfg.Policy.PrimaryPath(l.st, *c)
 		if admitted, blockLink := l.st.PathAdmitsPrimary(primary); !admitted && blockLink != graph.InvalidLink {
 			blockAt = blockLink
 		}
 	}
-	l.blocked(c, pairIdx, measured, win, blockAt)
-	return false
+	return nil, false, false, blockAt
 }
 
 // finish drains the remaining departures and plan events inside the

@@ -184,7 +184,7 @@ func (s *State) Occupy(p paths.Path) {
 func (s *State) Release(p paths.Path) {
 	for _, id := range p.Links {
 		if s.occ[id] <= 0 {
-			panic(fmt.Errorf("sim: releasing idle link %d", id))
+			idleRelease(id)
 		}
 		s.occ[id]--
 	}
@@ -240,9 +240,18 @@ func (s *State) OccupyLink(id graph.LinkID) {
 // ReleaseLink frees one call from a single link.
 func (s *State) ReleaseLink(id graph.LinkID) {
 	if s.occ[id] <= 0 {
-		panic(fmt.Errorf("sim: releasing idle link %d", id))
+		idleRelease(id)
 	}
 	s.occ[id]--
+}
+
+// idleRelease reports a release of a link that carries no call, which
+// only a corrupted departure queue can ask for. It stays out of line so
+// that boxing id for the error is no escape of the hot loops that call it.
+//
+//go:noinline
+func idleRelease(id graph.LinkID) {
+	panic(fmt.Errorf("sim: releasing idle link %d", id))
 }
 
 // TotalOccupancy returns the sum of link occupancies (each call counts once

@@ -39,18 +39,11 @@ type pairStream struct {
 	ar xrand.Gen
 }
 
-// slabCall is one buffered arrival of the current slab. key is
-// origin<<32 | dest, which orders pairs as their (origin, dest) index does.
-type slabCall struct {
-	t, hold float64
-	key     uint64
-}
-
-// before is the one arrival order: epoch, then pair. Epochs are never
-// negative, so their bit patterns order as the values do.
-func before(a, b *slabCall) bool {
-	ta, tb := math.Float64bits(a.t), math.Float64bits(b.t)
-	return ta < tb || ta == tb && a.key < b.key
+// before is the one arrival order: epoch, then pair (origin, then dest).
+// Epochs are never negative, so their bit patterns order as the values do.
+func before(a, b *Call) bool {
+	ta, tb := math.Float64bits(a.Arrival), math.Float64bits(b.Arrival)
+	return ta < tb || ta == tb && (a.Origin < b.Origin || a.Origin == b.Origin && a.Dest < b.Dest)
 }
 
 // fineBits is log2 of the arrivals a slab expects — its width is the
@@ -68,7 +61,8 @@ const fineBits = 11
 // draw order — the holding time, then the next increment — and relinks or
 // retires the pair. The slab is then ordered by a stable counting sort on
 // the fine index ⌊t·2^(k+fineBits)⌋ and an insertion pass on (epoch,
-// pair).
+// pair), straight into a []Call, and the calls are numbered. Next hands
+// the slab out one call at a time; Run reads each whole slab in place.
 //
 // Each pair consumes its substream in the same order whatever the
 // batching, and (epoch, origin, dest) is a total order over distinct
@@ -85,7 +79,7 @@ type Stream struct {
 	seed    int64
 	rate    float64 // Λ, the total rate of the pairs with positive demand
 	live    int     // pending pairs
-	emitted int     // next call ID
+	emitted int     // calls numbered so far: the next slab's first ID
 	// holds, on a dual stream, draws pairs[k]'s holding times from dist on
 	// an independent substream: the selectable-distribution layout of
 	// GenerateTraceHolding. It is nil otherwise, and holdings come from
@@ -100,8 +94,8 @@ type Stream struct {
 	mask               int64   // len(heads) − 1
 	cur                int64   // next slab to fill; no pending arrival lies before it
 	counts             []int32 // per fine bucket of the slab being sorted
-	in, out            []slabCall
-	pos                int // next call of out to emit
+	in, out            []Call
+	pos                int // next call of out to hand out
 }
 
 // NewStream returns the streaming equivalent of GenerateTrace(m, horizon,
@@ -235,7 +229,7 @@ func (s *Stream) setSlabs(k int) {
 	}
 	mean := min(s.rate*min(s.width, s.horizon), 1<<16)
 	c := int(mean + 4*math.Sqrt(mean) + 16)
-	calls := make([]slabCall, 2*c)
+	calls := make([]Call, 2*c)
 	s.in, s.out, s.pos = calls[:0:c], calls[c:c:2*c], 0
 
 	s.live, s.cur = len(s.pairs), 0
@@ -261,17 +255,23 @@ func (s *Stream) Next() (Call, bool) {
 	if s.pos == len(s.out) && !s.fill() {
 		return Call{}, false
 	}
-	b := &s.out[s.pos]
 	s.pos++
-	c := Call{
-		ID:      s.emitted,
-		Origin:  graph.NodeID(b.key >> 32),
-		Dest:    graph.NodeID(uint32(b.key)),
-		Arrival: b.t,
-		Holding: b.hold,
+	return s.out[s.pos-1], true
+}
+
+// batch returns the calls of the current slab not yet handed out — the
+// next whole slab once it is used up, empty once the stream is exhausted
+// — and marks them handed out. The slice is valid until the next call of
+// batch, Next or Materialize, which refill its backing array.
+//
+//altlint:hotpath
+func (s *Stream) batch() []Call {
+	if s.pos == len(s.out) && !s.fill() {
+		return nil
 	}
-	s.emitted++
-	return c, true
+	b := s.out[s.pos:]
+	s.pos = len(s.out)
+	return b
 }
 
 // fill draws and orders the next slab holding any arrival into out; it
@@ -296,7 +296,7 @@ func (s *Stream) fill() bool {
 				// Draw order per pair matches the materializing generators:
 				// the holding time of each call, then the increment to the
 				// pair's next arrival.
-				key := uint64(p.od/s.n)<<32 | uint64(p.od%s.n)
+				origin, dest := graph.NodeID(p.od/s.n), graph.NodeID(p.od%s.n)
 				mean := 1 / p.rate
 				for p.next < end {
 					var hold float64
@@ -305,7 +305,7 @@ func (s *Stream) fill() bool {
 					} else {
 						hold = p.ar.Exp(1)
 					}
-					in = append(in, slabCall{t: p.next, hold: hold, key: key})
+					in = append(in, Call{Origin: origin, Dest: dest, Arrival: p.next, Holding: hold})
 					p.next += p.ar.Exp(mean)
 				}
 			}
@@ -328,14 +328,15 @@ func (s *Stream) fill() bool {
 // order sorts slab's arrivals from in into out by (epoch, pair), keeping
 // a pair's equal epochs in draw order: a stable counting sort on the fine
 // index, then an insertion pass that only reorders calls sharing a fine
-// bucket.
+// bucket. The ordered calls are then numbered, continuing from the last
+// slab's IDs.
 //
 //altlint:hotpath
 func (s *Stream) order(slab int64) {
 	in, counts := s.in, s.counts
 	base := slab << fineBits // fine index of the slab's start
 	for b := range in {
-		counts[int64(in[b].t*s.fine)-base]++
+		counts[int64(in[b].Arrival*s.fine)-base]++
 	}
 	sum := int32(0)
 	for f, n := range counts {
@@ -347,7 +348,7 @@ func (s *Stream) order(slab int64) {
 	}
 	out := s.out[:len(in)]
 	for b := range in {
-		f := int64(in[b].t*s.fine) - base
+		f := int64(in[b].Arrival*s.fine) - base
 		out[counts[f]] = in[b]
 		counts[f]++
 	}
@@ -363,6 +364,10 @@ func (s *Stream) order(slab int64) {
 		}
 		out[a] = c
 	}
+	for b := range out {
+		out[b].ID = s.emitted + b
+	}
+	s.emitted += len(out)
 	s.out, s.pos = out, 0
 }
 
@@ -382,12 +387,8 @@ func (s *Stream) Seed() int64 { return s.seed }
 // final copy to the collector's timing, which showed up as peak RSS.
 func (s *Stream) Materialize() *Trace {
 	calls := make([]Call, 0, s.expectedCalls())
-	for {
-		c, ok := s.Next()
-		if !ok {
-			break
-		}
-		calls = append(calls, c)
+	for b := s.batch(); len(b) > 0; b = s.batch() {
+		calls = append(calls, b...)
 	}
 	return &Trace{Calls: calls, Horizon: s.horizon, Seed: s.seed}
 }

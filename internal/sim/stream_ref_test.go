@@ -309,34 +309,40 @@ func TestNewStreamRejectsNonFiniteRates(t *testing.T) {
 // checkOrder fills one slab of s with calls at the given fine-grid
 // epochs, several per pair and many equal, orders it, and checks the
 // result against a stable sort by (epoch, pair): a pair's equal epochs
-// must stay in the order they were drawn (hold numbers them).
+// must stay in the order they were drawn (Holding numbers them), and the
+// ordered calls must be numbered on from the stream's last ID.
 func checkOrder(t testing.TB, s *Stream, slab int64, epochs []uint16, pairs []uint8) {
 	t.Helper()
 	s.in = s.in[:0]
-	seq := map[uint64]float64{}
+	type pair struct{ o, d graph.NodeID }
+	seq := map[pair]float64{}
 	// Epochs within one pair are drawn in nondecreasing order, as the
 	// pair's own arrivals are.
-	last := map[uint64]float64{}
+	last := map[pair]float64{}
 	for i, e := range epochs {
-		key := uint64(pairs[i%len(pairs)]%8)<<32 | uint64(pairs[i%len(pairs)]/8)
+		k := pair{graph.NodeID(pairs[i%len(pairs)] % 8), graph.NodeID(pairs[i%len(pairs)] / 8)}
 		f := float64(slab<<fineBits) + float64(e%(1<<fineBits)) + float64(e>>fineBits)/32
-		at := max(f/s.fine, last[key])
-		last[key] = at
-		seq[key]++
-		s.in = append(s.in, slabCall{t: at, hold: seq[key], key: key})
+		at := max(f/s.fine, last[k])
+		last[k] = at
+		seq[k]++
+		s.in = append(s.in, Call{Origin: k.o, Dest: k.d, Arrival: at, Holding: seq[k]})
 	}
-	want := append([]slabCall(nil), s.in...)
+	want := append([]Call(nil), s.in...)
 	sort.SliceStable(want, func(a, b int) bool {
-		if want[a].t != want[b].t {
-			return want[a].t < want[b].t
+		if want[a].Arrival != want[b].Arrival {
+			return want[a].Arrival < want[b].Arrival
 		}
-		return want[a].key < want[b].key
+		if want[a].Origin != want[b].Origin {
+			return want[a].Origin < want[b].Origin
+		}
+		return want[a].Dest < want[b].Dest
 	})
+	first := s.emitted
 	s.order(slab)
 	for i := range want {
 		g, w := s.out[i], want[i]
-		if math.Float64bits(g.t) != math.Float64bits(w.t) || g.key != w.key || math.Float64bits(g.hold) != math.Float64bits(w.hold) {
-			t.Fatalf("slab %d position %d: got %+v, want %+v", slab, i, g, w)
+		if math.Float64bits(g.Arrival) != math.Float64bits(w.Arrival) || g.Origin != w.Origin || g.Dest != w.Dest || math.Float64bits(g.Holding) != math.Float64bits(w.Holding) || g.ID != first+i {
+			t.Fatalf("slab %d position %d: got %+v, want %+v with ID %d", slab, i, g, w, first+i)
 		}
 	}
 }

@@ -125,3 +125,42 @@ func BenchmarkNewStream(b *testing.B) {
 		}
 	})
 }
+
+// TestRunRejectsBadCallMidSlab: a call that fails Call.Check in the middle
+// of a Stream's slab stops Run with Check's error, the same error a Trace
+// of the same calls and a one-call-at-a-time source give.
+func TestRunRejectsBadCallMidSlab(t *testing.T) {
+	g, p, m := retrialFixture(t)
+	const horizon, seed = 20, 3
+	corrupt := func() *Stream {
+		s, err := NewStream(m, horizon, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.fill() || len(s.out) < 3 {
+			t.Fatalf("first slab holds %d calls, want a middle one", len(s.out))
+		}
+		s.out[len(s.out)/2].Holding = math.NaN()
+		return s
+	}
+	s := corrupt()
+	bad := s.out[len(s.out)/2]
+	if bad.ID == 0 {
+		t.Fatal("the corrupted call is the first of the run")
+	}
+	want := bad.Check(g.NumNodes())
+	if want == nil {
+		t.Fatal("the corrupted call passes Check")
+	}
+	sources := map[string]Config{
+		"stream": {Source: s},
+		"trace":  {Trace: corrupt().Materialize()},
+		"pulled": {Source: &sliceSource{calls: corrupt().Materialize().Calls, horizon: horizon}},
+	}
+	for name, cfg := range sources {
+		cfg.Graph, cfg.Policy, cfg.Warmup = g, fixedPolicy{p}, 5
+		if res, err := Run(cfg); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: Run = %+v, %v; want error %q", name, res, err, want)
+		}
+	}
+}

@@ -35,13 +35,26 @@ type Call struct {
 // multirate.Run check every call they read; an unchecked NaN or infinite
 // epoch would silently reorder the departure queue.
 func (c Call) Check(numNodes int) error {
-	if uint(c.Origin) >= uint(numNodes) || uint(c.Dest) >= uint(numNodes) {
+	if c.valid(numNodes) {
+		return nil
+	}
+	if !c.inGraph(numNodes) {
 		return fmt.Errorf("sim: call %d: %d→%d is not a pair of the graph's %d nodes", c.ID, c.Origin, c.Dest, numNodes)
 	}
-	if !(c.Arrival >= 0 && c.Arrival <= math.MaxFloat64 && c.Holding > 0 && c.Holding <= math.MaxFloat64) {
-		return fmt.Errorf("sim: call %d: arrival %v and holding %v must be finite, arrival ≥ 0 and holding > 0", c.ID, c.Arrival, c.Holding)
-	}
-	return nil
+	return fmt.Errorf("sim: call %d: arrival %v and holding %v must be finite, arrival ≥ 0 and holding > 0", c.ID, c.Arrival, c.Holding)
+}
+
+// valid is Check's rule without the error, cheap enough for the event
+// loop to apply to every call it reads.
+func (c *Call) valid(numNodes int) bool {
+	return c.inGraph(numNodes) &&
+		c.Arrival >= 0 && c.Arrival <= math.MaxFloat64 && c.Holding > 0 && c.Holding <= math.MaxFloat64
+}
+
+// inGraph reports whether the call's origin and destination are nodes of
+// a numNodes-node graph.
+func (c *Call) inGraph(numNodes int) bool {
+	return uint(c.Origin) < uint(numNodes) && uint(c.Dest) < uint(numNodes)
 }
 
 // Trace is an immutable arrival sequence sorted by arrival time.

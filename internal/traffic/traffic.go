@@ -196,39 +196,3 @@ func LinkLoads(g *graph.Graph, m *Matrix, pr *PrimaryRouting) []float64 {
 	}
 	return loads
 }
-
-// Gravity returns a matrix where T(i,j) ∝ weight_i·weight_j, scaled so the
-// total offered load is total Erlangs — the standard prior for synthesizing
-// demand from node sizes (populations, port counts). Weights must be
-// positive and at least two nodes are required.
-func Gravity(weights []float64, total float64) (*Matrix, error) {
-	n := len(weights)
-	if n < 2 {
-		return nil, fmt.Errorf("traffic: gravity needs >= 2 nodes (got %d)", n)
-	}
-	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
-		return nil, fmt.Errorf("traffic: gravity total %v", total)
-	}
-	for i, wt := range weights {
-		if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
-			return nil, fmt.Errorf("traffic: gravity weight %v at %d", wt, i)
-		}
-	}
-	m := NewMatrix(n)
-	norm := 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				norm += weights[i] * weights[j]
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				m.SetDemand(graph.NodeID(i), graph.NodeID(j), total*weights[i]*weights[j]/norm)
-			}
-		}
-	}
-	return m, nil
-}

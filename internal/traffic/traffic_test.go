@@ -309,30 +309,3 @@ func TestNSFNetNominalCached(t *testing.T) {
 		t.Error("NSFNetNominal should return cached singletons")
 	}
 }
-
-func TestGravity(t *testing.T) {
-	m, err := Gravity([]float64{3, 1, 1}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total := m.Total(); math.Abs(total-100) > 1e-9 {
-		t.Errorf("total %v, want 100", total)
-	}
-	// T(0,1)/T(1,2) = (3·1)/(1·1) = 3.
-	if r := m.Demand(0, 1) / m.Demand(1, 2); math.Abs(r-3) > 1e-9 {
-		t.Errorf("gravity ratio %v, want 3", r)
-	}
-	// Symmetric weights give a symmetric matrix.
-	if m.Demand(0, 1) != m.Demand(1, 0) {
-		t.Error("gravity not symmetric for symmetric weights")
-	}
-	if _, err := Gravity([]float64{1}, 10); err == nil {
-		t.Error("one node: want error")
-	}
-	if _, err := Gravity([]float64{1, 0}, 10); err == nil {
-		t.Error("zero weight: want error")
-	}
-	if _, err := Gravity([]float64{1, 1}, -1); err == nil {
-		t.Error("negative total: want error")
-	}
-}
