@@ -1,17 +1,12 @@
 package erlang
 
-import (
-	"fmt"
-	"math"
-)
-
-// Classical overflow-traffic theory (Wilkinson's Equivalent Random Theory
-// and the Hayward approximation). The paper's Theorem 1 allows the
-// alternate-routed (overflow) stream to be an arbitrary state-dependent
-// Poisson process (assumption A1); classical teletraffic instead
-// characterizes overflow from a circuit group as *peaked* (variance above
-// Poisson). These tools quantify that peakedness so experiments can measure
-// how far the controlled scheme's overflow departs from A1.
+// Classical overflow-traffic theory (Riordan's overflow moments). The
+// paper's Theorem 1 allows the alternate-routed (overflow) stream to be an
+// arbitrary state-dependent Poisson process (assumption A1); classical
+// teletraffic instead characterizes overflow from a circuit group as
+// *peaked* (variance above Poisson). These tools quantify that peakedness
+// so experiments can measure how far the controlled scheme's overflow
+// departs from A1.
 
 // OverflowMoments returns the mean and variance of the number of busy
 // servers the overflow from an M/M/C/C group of the given offered load would
@@ -39,91 +34,4 @@ func Peakedness(load float64, capacity int) float64 {
 		return 1
 	}
 	return v / m
-}
-
-// EquivalentRandom inverts OverflowMoments approximately (Rapp): it returns
-// the offered load λ* and (real-valued) group size C* of a pure-chance
-// system whose overflow has the given mean and variance.
-func EquivalentRandom(mean, variance float64) (load, capacity float64, err error) {
-	if mean <= 0 || variance <= 0 {
-		return 0, 0, fmt.Errorf("erlang: nonpositive overflow moments (%v, %v)", mean, variance)
-	}
-	z := variance / mean
-	if z < 1 {
-		return 0, 0, fmt.Errorf("erlang: smooth traffic (z=%v < 1) has no equivalent random system", z)
-	}
-	load = variance + 3*z*(z-1)
-	capacity = load*(mean+z)/(mean+z-1) - mean - 1
-	if capacity < 0 {
-		capacity = 0
-	}
-	return load, capacity, nil
-}
-
-// BContinuous extends the Erlang-B function to real-valued capacity via the
-// classical integral representation
-//
-//	1/B(A, x) = A ∫₀^∞ e^{−A t} (1 + t)^x dt,
-//
-// evaluated by computing the base value on x ∈ [0, 1) with composite Simpson
-// quadrature (substituting u = A·t) and extending upward with the standard
-// recursion 1/B(A,x) = 1 + (x/A)·(1/B(A,x−1)). It agrees with B at integer
-// capacities. A must be positive and x nonnegative.
-func BContinuous(load, capacity float64) float64 {
-	if load <= 0 || math.IsNaN(load) || math.IsInf(load, 0) {
-		panic(fmt.Errorf("%w: load %v", ErrInvalidArgument, load))
-	}
-	if capacity < 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
-		panic(fmt.Errorf("%w: capacity %v", ErrInvalidArgument, capacity))
-	}
-	frac := capacity - math.Floor(capacity)
-	// Base inverse on [0,1): y = ∫₀^∞ e^{−u}(1 + u/A)^frac du.
-	y := fracBaseInverse(load, frac)
-	for x := frac + 1; x <= capacity+1e-12; x++ {
-		y = 1 + x/load*y
-	}
-	return 1 / y
-}
-
-// fracBaseInverse computes ∫₀^∞ e^{−u} (1 + u/A)^x du for x in [0, 1) by
-// composite Simpson quadrature with an exponential tail cutoff.
-func fracBaseInverse(a, x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	// Integrand ≈ e^{−u}·(1+u/a)^x with x<1: the tail beyond u=60 is below
-	// e^{−60}·(1+60/a), negligible at float64 precision for a >= 1e−3.
-	upper := 60.0
-	const n = 6000 // even
-	h := upper / n
-	f := func(u float64) float64 {
-		return math.Exp(-u) * math.Pow(1+u/a, x)
-	}
-	sum := f(0) + f(upper)
-	for i := 1; i < n; i++ {
-		u := float64(i) * h
-		if i%2 == 1 {
-			sum += 4 * f(u)
-		} else {
-			sum += 2 * f(u)
-		}
-	}
-	return sum * h / 3
-}
-
-// HaywardBlocking approximates the blocking seen by peaked traffic with
-// mean offered load and peakedness z on a group of the given capacity:
-// B(load/z, capacity/z) with the continuous Erlang-B. z=1 reduces exactly to
-// Erlang-B.
-func HaywardBlocking(load float64, capacity int, z float64) float64 {
-	if z <= 0 || math.IsNaN(z) {
-		panic(fmt.Errorf("%w: peakedness %v", ErrInvalidArgument, z))
-	}
-	if load <= 0 {
-		if capacity == 0 {
-			return 1
-		}
-		return 0
-	}
-	return BContinuous(load/z, float64(capacity)/z)
 }

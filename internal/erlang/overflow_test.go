@@ -28,83 +28,6 @@ func TestOverflowMomentsKnownProperties(t *testing.T) {
 	}
 }
 
-func TestEquivalentRandomRoundTrip(t *testing.T) {
-	// The ERT system's overflow moments should approximately reproduce the
-	// originals (Rapp's approximation: a few percent).
-	for _, tc := range []struct {
-		load float64
-		c    int
-	}{{20, 15}, {50, 45}, {74, 70}} {
-		mean, variance := OverflowMoments(tc.load, tc.c)
-		eqLoad, eqCap, err := EquivalentRandom(mean, variance)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Rapp's equivalent system offers a bit more traffic to a slightly
-		// larger group; it must never need less load than the original.
-		if eqLoad < tc.load || eqCap <= 0 {
-			t.Errorf("(%v,%d): equivalent system (%v,%v) not plausible", tc.load, tc.c, eqLoad, eqCap)
-		}
-		// Evaluate the equivalent system's overflow mean with continuous B.
-		gotMean := eqLoad * BContinuous(eqLoad, eqCap)
-		if math.Abs(gotMean-mean) > 0.05*mean {
-			t.Errorf("(%v,%d): round-trip mean %v vs %v", tc.load, tc.c, gotMean, mean)
-		}
-	}
-	if _, _, err := EquivalentRandom(0, 1); err == nil {
-		t.Error("zero mean: want error")
-	}
-	if _, _, err := EquivalentRandom(5, 2); err == nil {
-		t.Error("smooth traffic: want error")
-	}
-}
-
-func TestBContinuousMatchesIntegerB(t *testing.T) {
-	for _, load := range []float64{0.5, 5, 42, 95} {
-		for _, c := range []int{0, 1, 7, 40, 100} {
-			got := BContinuous(load, float64(c))
-			want := B(load, c)
-			if math.Abs(got-want) > 1e-6*math.Max(want, 1e-12) && math.Abs(got-want) > 1e-10 {
-				t.Errorf("BContinuous(%v,%d) = %v, B = %v", load, c, got, want)
-			}
-		}
-	}
-}
-
-func TestBContinuousInterpolatesMonotonically(t *testing.T) {
-	// Between integers B decreases smoothly in capacity.
-	load := 30.0
-	prev := BContinuous(load, 20)
-	for x := 20.1; x <= 25.001; x += 0.1 {
-		cur := BContinuous(load, x)
-		if cur > prev+1e-12 {
-			t.Fatalf("B not decreasing at x=%v: %v > %v", x, cur, prev)
-		}
-		prev = cur
-	}
-}
-
-func TestHaywardBlocking(t *testing.T) {
-	// z=1 is exactly Erlang-B.
-	if got, want := HaywardBlocking(50, 60, 1), B(50, 60); math.Abs(got-want) > 1e-6 {
-		t.Errorf("Hayward z=1: %v vs %v", got, want)
-	}
-	// Peaked traffic blocks more than Poisson on the same group.
-	if HaywardBlocking(50, 60, 2) <= B(50, 60) {
-		t.Error("peaked traffic should block more")
-	}
-	// Smooth traffic (z<1) blocks less.
-	if HaywardBlocking(50, 60, 0.5) >= B(50, 60) {
-		t.Error("smooth traffic should block less")
-	}
-	if HaywardBlocking(0, 10, 2) != 0 {
-		t.Error("zero load blocks nothing")
-	}
-	if HaywardBlocking(0, 0, 2) != 1 {
-		t.Error("zero capacity blocks everything")
-	}
-}
-
 func TestOverflowPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -115,7 +38,6 @@ func TestOverflowPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("BContinuous zero load", func() { BContinuous(0, 5) })
-	mustPanic("BContinuous negative capacity", func() { BContinuous(1, -1) })
-	mustPanic("Hayward zero z", func() { HaywardBlocking(1, 1, 0) })
+	mustPanic("OverflowMoments negative capacity", func() { OverflowMoments(1, -1) })
+	mustPanic("Peakedness infinite load", func() { Peakedness(math.Inf(1), 5) })
 }

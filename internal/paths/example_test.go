@@ -25,11 +25,11 @@ func ExampleAlternates() {
 	// alternate: 0→3→2→1
 }
 
-// Yen's algorithm streams the same suite in order without exhaustive
-// enumeration.
-func ExampleKShortest() {
+// The exhaustive loop-free enumeration, capped at two hops, lists the
+// same suite in (length, lexicographic) order, the primary included.
+func ExampleAllLoopFree() {
 	g := netmodel.Quadrangle()
-	for _, p := range paths.KShortest(g, 0, 1, 3, 0) {
+	for _, p := range paths.AllLoopFree(g, 0, 1, 2) {
 		fmt.Println(p)
 	}
 	// Output:

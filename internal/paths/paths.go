@@ -1,8 +1,7 @@
 // Package paths computes the primary and alternate routes consumed by the
 // two-tier routing scheme: minimum-hop primary paths (the paper's
-// demonstration SI rule), exhaustive loop-free alternate-path enumeration in
-// order of increasing hop length, and Yen's K-shortest-paths algorithm for
-// larger topologies.
+// demonstration SI rule) and exhaustive loop-free alternate-path enumeration
+// in order of increasing hop length.
 package paths
 
 import (
@@ -100,7 +99,7 @@ type Tree struct {
 func TreeTo(g *graph.Graph, dst graph.NodeID) Tree {
 	n := g.NumNodes()
 	t := Tree{Dist: make([]int, n), next: make([]graph.LinkID, n), links: g.LinkView()}
-	t.fill(g, dst, make([]graph.NodeID, 0, n), nil)
+	t.fill(g, dst, make([]graph.NodeID, 0, n))
 	return t
 }
 
@@ -119,18 +118,17 @@ func AllTrees(g *graph.Graph) []Tree {
 			next:  next[d*n : (d+1)*n : (d+1)*n],
 			links: g.LinkView(),
 		}
-		trees[d].fill(g, graph.NodeID(d), queue, nil)
+		trees[d].fill(g, graph.NodeID(d), queue)
 	}
 	return trees
 }
 
-// fill derives the tree toward dst in one reverse BFS over the up links
-// that b (nil for none) does not ban, using queue's backing array as the
-// FIFO. It is the one home of the next-hop rule: every node one hop closer
+// fill derives the tree toward dst in one reverse BFS over the up links,
+// using queue's backing array as the FIFO. It is the one home of the next-hop rule: every node one hop closer
 // than u is dequeued while u's distance is settled, and each offers its
 // in-link from u once, so comparing offers keeps the smallest-ID neighbour
 // (links are unique per ordered pair).
-func (t Tree) fill(g *graph.Graph, dst graph.NodeID, queue []graph.NodeID, b *ban) {
+func (t Tree) fill(g *graph.Graph, dst graph.NodeID, queue []graph.NodeID) {
 	for i := range t.Dist {
 		t.Dist[i] = -1
 		t.next[i] = graph.InvalidLink
@@ -141,7 +139,7 @@ func (t Tree) fill(g *graph.Graph, dst graph.NodeID, queue []graph.NodeID, b *ba
 		v := queue[head]
 		for _, id := range g.In(v) {
 			l := &t.links[id]
-			if l.Down || b != nil && (b.links[id] || b.nodes[l.From]) {
+			if l.Down {
 				continue
 			}
 			u := l.From

@@ -203,69 +203,6 @@ func TestValidateRejectsBadPaths(t *testing.T) {
 	}
 }
 
-func TestKShortestMatchesExhaustive(t *testing.T) {
-	g := grid(t)
-	for src := graph.NodeID(0); src < 6; src++ {
-		for dst := graph.NodeID(0); dst < 6; dst++ {
-			if src == dst {
-				continue
-			}
-			all := AllLoopFree(g, src, dst, 0)
-			yen := KShortest(g, src, dst, len(all)+10, 0)
-			if len(yen) != len(all) {
-				t.Fatalf("%d→%d: yen found %d paths, exhaustive %d", src, dst, len(yen), len(all))
-			}
-			Sort(yen)
-			for i := range all {
-				if !yen[i].Equal(all[i]) {
-					t.Errorf("%d→%d path %d: yen %s vs all %s", src, dst, i, yen[i], all[i])
-				}
-			}
-		}
-	}
-}
-
-func TestKShortestPrefixLengths(t *testing.T) {
-	// For any k, KShortest's hop-count sequence must match the first k
-	// entries of the exhaustive enumeration (set equality within ties is
-	// guaranteed by the previous test at full k).
-	g := complete(t, 5)
-	all := AllLoopFree(g, 0, 4, 0)
-	for k := 1; k <= len(all); k++ {
-		yen := KShortest(g, 0, 4, k, 0)
-		if len(yen) != k {
-			t.Fatalf("k=%d: got %d paths", k, len(yen))
-		}
-		for i := range yen {
-			if yen[i].Hops() != all[i].Hops() {
-				t.Errorf("k=%d path %d: hops %d, want %d", k, i, yen[i].Hops(), all[i].Hops())
-			}
-			if err := Validate(g, yen[i]); err != nil {
-				t.Errorf("k=%d path %d invalid: %v", k, i, err)
-			}
-		}
-	}
-}
-
-func TestKShortestHopLimit(t *testing.T) {
-	g := complete(t, 4)
-	got := KShortest(g, 0, 1, 100, 2)
-	if len(got) != 3 {
-		t.Errorf("H=2: got %d paths, want 3", len(got))
-	}
-	for _, p := range got {
-		if p.Hops() > 2 {
-			t.Errorf("path %s exceeds hop limit", p)
-		}
-	}
-	if KShortest(g, 0, 1, 0, 0) != nil {
-		t.Error("k=0 should return nil")
-	}
-	if KShortest(g, 0, 0, 5, 0) != nil {
-		t.Error("src==dst should return nil")
-	}
-}
-
 func TestPathsLoopFreeProperty(t *testing.T) {
 	g := grid(t)
 	f := func(a, b uint8) bool {

@@ -36,36 +36,6 @@ func randomConnectedGraph(t *testing.T, n int, extraEdges int, seed int64) *grap
 	return g
 }
 
-// TestKShortestMatchesExhaustiveOnRandomGraphs fuzzes Yen's algorithm
-// against the exhaustive enumeration across random topologies — the
-// strongest equivalence check we have for the path machinery.
-func TestKShortestMatchesExhaustiveOnRandomGraphs(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		n := 5 + int(seed%4) // 5..8 nodes
-		g := randomConnectedGraph(t, n, n, seed)
-		for src := graph.NodeID(0); int(src) < n; src++ {
-			for dst := graph.NodeID(0); int(dst) < n; dst++ {
-				if src == dst {
-					continue
-				}
-				all := AllLoopFree(g, src, dst, 0)
-				yen := KShortest(g, src, dst, len(all)+5, 0)
-				if len(yen) != len(all) {
-					t.Fatalf("seed %d %d→%d: yen %d paths, exhaustive %d",
-						seed, src, dst, len(yen), len(all))
-				}
-				Sort(yen)
-				for i := range all {
-					if !yen[i].Equal(all[i]) {
-						t.Fatalf("seed %d %d→%d path %d: %s vs %s",
-							seed, src, dst, i, yen[i], all[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestMinHopIsFirstEnumerated checks the primary-selection invariant on
 // random graphs: MinHop returns exactly the first path of the sorted
 // exhaustive enumeration.

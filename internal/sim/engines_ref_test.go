@@ -2,9 +2,12 @@ package sim_test
 
 // RunWithRetrials and RunSignaling used to run their own container/heap
 // loops, every trace arrival pushed before the first event. Those loops
-// are kept here verbatim (but for the exported names and the inlined
-// window check) as the references the calendar-queue engines must match
-// result for result.
+// are kept here verbatim (but for the exported names, the inlined window
+// check and the occupancy integral) as the references the calendar-queue
+// engines must match result for result. The integral is sim.Run's
+// per-link lazy flush, which the engines now share: each link's sum is
+// flushed just before its occupancy changes and once at the horizon, so
+// the float sums split where the engines' do.
 
 import (
 	"container/heap"
@@ -93,11 +96,11 @@ func refRunWithRetrials(cfg sim.RetrialConfig) *sim.RetrialResult {
 	}
 	var activePaths []paths.Path
 	measured := func(c sim.Call) bool { return c.Arrival >= cfg.Warmup && c.Arrival < horizon }
-	util := refOccupancy{st: st, util: res.LinkTimeUtil, warmup: cfg.Warmup, horizon: horizon}
+	util := newRefOccupancy(st, res.LinkTimeUtil, cfg.Warmup, horizon)
 	for events.Len() > 0 {
 		e := heap.Pop(events).(refRetrialEvent)
-		util.advance(e.at)
 		if e.release {
+			util.flushPath(activePaths[e.path], e.at)
 			st.Release(activePaths[e.path])
 			continue
 		}
@@ -113,6 +116,7 @@ func refRunWithRetrials(cfg sim.RetrialConfig) *sim.RetrialResult {
 		decision.Arrival = e.at
 		p, alternate, ok := cfg.Policy.Route(st, decision)
 		if ok {
+			util.flushPath(p, e.at)
 			st.Occupy(p)
 			activePaths = append(activePaths, p)
 			push(refRetrialEvent{at: e.at + c.Holding, release: true, path: len(activePaths) - 1})
@@ -237,10 +241,9 @@ func refRunSignaling(cfg sim.SignalingConfig) *sim.SignalingResult {
 		c.curAlternate = alternate
 		push(refSigEvent{at: now + cfg.HopDelay, kind: refSigCheck, call: c, hop: 0, path: p})
 	}
-	util := refOccupancy{st: st, util: res.LinkTimeUtil, warmup: cfg.Warmup, horizon: horizon}
+	util := newRefOccupancy(st, res.LinkTimeUtil, cfg.Warmup, horizon)
 	for events.Len() > 0 {
 		e := heap.Pop(events).(refSigEvent)
-		util.advance(e.at)
 		switch e.kind {
 		case refSigArrival:
 			if measured(e.call) {
@@ -266,11 +269,13 @@ func refRunSignaling(cfg sim.SignalingConfig) *sim.SignalingResult {
 			if st.Free(id) < 1 {
 				res.BookingFailures++
 				for h := e.hop + 1; h < p.Hops(); h++ {
+					util.flush(p.Links[h], e.at)
 					st.ReleaseLink(p.Links[h])
 				}
 				startAttempt(e.at, e.call)
 				break
 			}
+			util.flush(id, e.at)
 			st.OccupyLink(id)
 			if e.hop > 0 {
 				push(refSigEvent{at: e.at + cfg.HopDelay, kind: refSigBook, call: e.call, hop: e.hop - 1, path: p})
@@ -288,6 +293,7 @@ func refRunSignaling(cfg sim.SignalingConfig) *sim.SignalingResult {
 			}
 			push(refSigEvent{at: e.at + e.call.Holding, kind: refSigRelease, call: e.call, path: p})
 		case refSigRelease:
+			util.flushPath(e.path, e.at)
 			st.Release(e.path)
 		}
 	}
@@ -295,15 +301,22 @@ func refRunSignaling(cfg sim.SignalingConfig) *sim.SignalingResult {
 	return res
 }
 
+// refOccupancy integrates each link's occupancy over [warmup, horizon)
+// lazily: flush runs just before the link's occupancy changes, finish
+// flushes every link at the horizon, normalizes util to time averages and
+// returns the window length (Result.Span).
 type refOccupancy struct {
 	st              *sim.State
-	util            []float64
+	util, last      []float64
 	warmup, horizon float64
-	last            float64
 }
 
-func (o *refOccupancy) advance(now float64) {
-	lo := o.last
+func newRefOccupancy(st *sim.State, util []float64, warmup, horizon float64) *refOccupancy {
+	return &refOccupancy{st: st, util: util, last: make([]float64, len(util)), warmup: warmup, horizon: horizon}
+}
+
+func (o *refOccupancy) flush(id graph.LinkID, now float64) {
+	lo := o.last[id]
 	if lo < o.warmup {
 		lo = o.warmup
 	}
@@ -312,18 +325,21 @@ func (o *refOccupancy) advance(now float64) {
 		hi = o.horizon
 	}
 	if hi > lo {
-		dt := hi - lo
-		for id := range o.util {
-			o.util[id] += dt * float64(o.st.Occupancy(graph.LinkID(id)))
-		}
+		o.util[id] += (hi - lo) * float64(o.st.Occupancy(id))
 	}
-	if now > o.last {
-		o.last = now
+	o.last[id] = now
+}
+
+func (o *refOccupancy) flushPath(p paths.Path, now float64) {
+	for _, id := range p.Links {
+		o.flush(id, now)
 	}
 }
 
 func (o *refOccupancy) finish() float64 {
-	o.advance(o.horizon)
+	for id := range o.util {
+		o.flush(graph.LinkID(id), o.horizon)
+	}
 	window := o.horizon - o.warmup
 	for id := range o.util {
 		o.util[id] /= window

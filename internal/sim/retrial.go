@@ -48,10 +48,13 @@ type RetrialResult struct {
 // events in flight — departures (a pooled path, Ref < 0) and pending
 // retries (trace index Ref, attempt N). Queued events strictly before an
 // arrival run first, and equal epochs pop in push order, so every event
-// runs in (epoch, arrival-before-queued, push) order.
+// runs in (epoch, arrival-before-queued, push) order. Each attempt is
+// admitted through Run's Route path (loop.routeCall); calls are counted,
+// links' occupancy integrated and the run closed by Run's accounting.
 func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
-	if cfg.Graph == nil || cfg.Policy == nil || cfg.Trace == nil {
-		return nil, fmt.Errorf("sim: incomplete config")
+	horizon, err := cfg.setUp("retrial")
+	if err != nil {
+		return nil, err
 	}
 	if !(cfg.RetryProbability >= 0 && cfg.RetryProbability <= 1) {
 		return nil, fmt.Errorf("sim: retry probability %v outside [0, 1]", cfg.RetryProbability)
@@ -68,49 +71,36 @@ func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 	// Attempts are counted in the queue entry's int32.
 	cfg.MaxAttempts = min(cfg.MaxAttempts, math.MaxInt32)
 	calls := cfg.Trace.Calls
-	if len(calls) > math.MaxInt32 {
-		return nil, fmt.Errorf("sim: %d calls exceed the retrial queue's int32 index", len(calls))
-	}
-	horizon, err := cfg.window(cfg.Trace.Horizon)
-	if err != nil {
-		return nil, err
-	}
 
-	st := NewState(cfg.Graph)
-	res := &RetrialResult{Result: cfg.eventResult()}
-	rng := xrand.New(cfg.Seed, 271828)
+	res := &RetrialResult{}
 	// Retries are only scheduled before the horizon, and a departure past
 	// it reaches no counter, so the queue keeps nothing later.
-	var q departureQueue
-	q.init(horizon, false)
-	measured := func(c Call) bool { return c.Arrival >= cfg.Warmup && c.Arrival < horizon }
-	util := occupancyIntegral{st: st, util: res.LinkTimeUtil, warmup: cfg.Warmup, horizon: horizon}
+	var l loop
+	l.init(cfg.Config, &res.Result, horizon, nil)
+	q := &l.deps
+	rng := xrand.New(cfg.Seed, 271828)
+	var n tally
 
 	// try offers call i's attempt k at epoch now.
 	try := func(now float64, i, k int32) {
 		c := calls[i]
-		if measured(c) && k == 0 {
-			res.offer(c)
+		measured := c.Arrival >= cfg.Warmup
+		if measured && k == 0 {
+			l.offer(&n, &c)
 		}
-		if measured(c) && k > 0 {
+		if measured && k > 0 {
 			res.Retries++
 		}
 		// The routing decision uses the retry epoch's state; the Call keeps
 		// its original arrival time for measurement bucketing.
 		decision := c
 		decision.Arrival = now
-		p, alternate, ok := cfg.Policy.Route(st, decision)
+		// A blocked attempt's loss is attributed only once it is
+		// definitive, so routeCall is not asked for it.
+		p, alternate, ok, _ := l.routeCall(&decision, false)
 		if ok {
-			st.Occupy(p)
-			q.push(now+c.Holding, p, depMeta{})
-			if measured(c) {
-				res.Accepted++
-				res.CarriedHopCount += int64(p.Hops())
-				if alternate {
-					res.AlternateAccepted++
-				} else {
-					res.PrimaryAccepted++
-				}
+			if measured {
+				n.admit(len(p), alternate)
 				if k > 0 {
 					res.RetrySuccesses++
 				}
@@ -126,8 +116,8 @@ func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 			}
 		}
 		// Definitively lost.
-		if measured(c) {
-			res.lose(st, cfg.Policy, decision)
+		if measured {
+			l.block(&n, &c, l.lossLink(&decision))
 		}
 	}
 	// drain runs every queued event at or before epoch.
@@ -137,26 +127,25 @@ func RunWithRetrials(cfg RetrialConfig) (*RetrialResult, error) {
 			if !ok {
 				return
 			}
-			util.advance(e.At)
 			if e.Ref < 0 {
-				st.Release(q.release(e))
+				l.departed(e.At, q.release(e))
 			} else {
 				try(e.At, e.Ref, e.N)
 			}
 		}
 	}
 	for i, c := range calls {
-		if err := c.Check(cfg.Graph.NumNodes()); err != nil {
+		if err := c.Check(l.numNodes); err != nil {
 			return nil, err
 		}
 		if c.Arrival >= horizon {
 			break
 		}
 		drain(math.Nextafter(c.Arrival, math.Inf(-1)))
-		util.advance(c.Arrival)
 		try(c.Arrival, int32(i), 0)
 	}
 	drain(horizon)
-	res.Span = util.finish()
+	n.addTo(&res.Result)
+	l.close()
 	return res, nil
 }

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/paths"
 	"repro/internal/traffic"
 )
@@ -34,24 +36,31 @@ func TestRetrialZeroProbabilityMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Accepted != want.Accepted || got.Blocked != want.Blocked {
-		t.Errorf("p=0 retrials: (%d,%d) vs plain (%d,%d)",
-			got.Accepted, got.Blocked, want.Accepted, want.Blocked)
-	}
+	// With no retries the run is Run's, result for result: the same
+	// counters, and each link's occupancy integral flushed at the same
+	// epochs, so LinkTimeUtil matches to the bit.
+	requireIdenticalResult(t, "p=0 retrials", &got.Result, want)
 	if got.Retries != 0 || got.RetrySuccesses != 0 {
 		t.Errorf("p=0 generated retries: %d/%d", got.Retries, got.RetrySuccesses)
 	}
-	// The rest of the Result is filled too: the window and the time-average
-	// occupancy agree with Run's (to rounding: Run integrates each link
-	// lazily, so its float sums split at different epochs).
-	if got.Span != want.Span || got.Throughput() != want.Throughput() {
-		t.Errorf("p=0 retrials: span %v throughput %v, plain %v %v",
-			got.Span, got.Throughput(), want.Span, want.Throughput())
-	}
-	for id, w := range want.LinkTimeUtil {
-		if w <= 0 || math.Abs(got.LinkTimeUtil[id]-w) > 1e-9*w {
-			t.Errorf("p=0 retrials: link %d utilization %v, plain %v", id, got.LinkTimeUtil[id], w)
+}
+
+// requireIdenticalResult fails unless got equals want field by field,
+// every float compared by its bits (so +0 and −0 differ).
+func requireIdenticalResult(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	bits := func(r *Result) []uint64 {
+		b := []uint64{math.Float64bits(r.Span)}
+		for _, u := range r.LinkTimeUtil {
+			b = append(b, math.Float64bits(u))
 		}
+		for _, w := range r.Windows {
+			b = append(b, math.Float64bits(w.Start), math.Float64bits(w.End))
+		}
+		return b
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(bits(got), bits(want)) {
+		t.Fatalf("%s: Result\n%+v\nwant\n%+v", label, *got, *want)
 	}
 }
 
@@ -110,6 +119,40 @@ func TestRetrialValidation(t *testing.T) {
 		Config: Config{Graph: g, Policy: fixedPolicy{p}, Trace: tr, Warmup: 99},
 	}); err == nil {
 		t.Error("warmup past horizon: want error")
+	}
+}
+
+// unhonoured returns base with, in turn, each Config field set that
+// RunWithRetrials and RunSignaling do not honour: a sink, windows, a
+// failure plan and a topology hook.
+func unhonoured(base Config) []struct {
+	field string
+	cfg   Config
+} {
+	sink, windows, failures, hook := base, base, base, base
+	sink.Sink = obs.NullSink{}
+	windows.WindowLength = 5
+	failures.Failures = &FailurePlan{}
+	failures.Failures.Add(15, 0, true)
+	hook.TopologyHook = func(float64, *State) {}
+	return []struct {
+		field string
+		cfg   Config
+	}{{"Sink", sink}, {"WindowLength", windows}, {"Failures", failures}, {"TopologyHook", hook}}
+}
+
+// TestRetrialRefusesUnhonouredConfig: a Config field the retrial engine
+// would silently ignore is an error.
+func TestRetrialRefusesUnhonouredConfig(t *testing.T) {
+	g, p, m := retrialFixture(t)
+	base := Config{Graph: g, Policy: fixedPolicy{p}, Trace: GenerateTrace(m, 20, 1)}
+	if _, err := RunWithRetrials(RetrialConfig{Config: base, RetryProbability: 0.5}); err != nil {
+		t.Fatalf("base config: %v", err)
+	}
+	for _, c := range unhonoured(base) {
+		if _, err := RunWithRetrials(RetrialConfig{Config: c.cfg, RetryProbability: 0.5}); err == nil {
+			t.Errorf("%s set: want error", c.field)
+		}
 	}
 }
 

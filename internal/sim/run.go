@@ -188,13 +188,14 @@ type loop struct {
 	read int
 	one  [1]Call
 
-	// util/last/occ implement the per-link lazy occupancy integral: each
-	// link's utilization sum is flushed only when that link's occupancy
-	// changes (plus once at the horizon), never at unrelated events. The
-	// split points of a link's floating-point sum therefore depend only on
-	// the link's own admission/departure epochs — an order invariant shared
-	// by the interpreted and compiled engines — and the per-event
-	// cost is O(hops) instead of O(links).
+	// util/last/occ implement the per-link lazy occupancy integral of all
+	// three engines (Run, RunWithRetrials, RunSignaling): each link's
+	// utilization sum is flushed only when that link's occupancy changes
+	// (plus once at the horizon), never at unrelated events. The split
+	// points of a link's floating-point sum therefore depend only on the
+	// link's own booking/release epochs — an order invariant shared by the
+	// interpreted and compiled admission paths — and the per-event cost is
+	// O(hops) instead of O(links).
 	util []float64
 	last []float64
 	occ  []int
@@ -454,6 +455,31 @@ func (n *tally) addTo(res *Result) {
 	res.CarriedHopCount += n.hops
 }
 
+// offer, admit and block count one measured call's first offer, its
+// admission on a path of the given hops, and its definitive loss
+// attributed to blockAt, as run counts them inline: the set-up engines
+// (RunWithRetrials, RunSignaling) count through them.
+func (l *loop) offer(n *tally, c *Call) {
+	n.offered++
+	l.pairOffered[int(c.Origin)*l.numNodes+int(c.Dest)]++
+}
+
+func (n *tally) admit(hops int, alternate bool) {
+	n.accepted++
+	n.hops += int64(hops)
+	if alternate {
+		n.alternate++
+	}
+}
+
+func (l *loop) block(n *tally, c *Call, blockAt graph.LinkID) {
+	n.blocked++
+	l.pairBlocked[int(c.Origin)*l.numNodes+int(c.Dest)]++
+	if blockAt != graph.InvalidLink {
+		l.res.LostAtLink[blockAt]++
+	}
+}
+
 // nextBatch returns the next calls to read in place: a Trace's whole call
 // slice on the first call, a Stream's current slab, or one call pulled
 // from any other source with Next. It returns an empty batch once the
@@ -706,18 +732,24 @@ func (l *loop) routeCall(c *Call, measured bool) (p []graph.LinkID, alternate, o
 		return path.Links, alternate, true, blockAt
 	}
 	if measured {
-		primary := l.cfg.Policy.PrimaryPath(l.st, *c)
-		if admitted, blockLink := l.st.PathAdmitsPrimary(primary); !admitted && blockLink != graph.InvalidLink {
-			blockAt = blockLink
-		}
+		blockAt = l.lossLink(c)
 	}
 	return nil, false, false, blockAt
 }
 
-// finish drains the remaining departures and plan events inside the
-// horizon, materializes the per-pair maps, and normalizes utilization.
-func (l *loop) finish() {
-	l.drainTo(l.horizon)
+// lossLink is the first link of the call's primary path that does not
+// admit it — where a lost call is counted (the paper's convention) — or
+// InvalidLink.
+func (l *loop) lossLink(c *Call) graph.LinkID {
+	_, at := l.st.PathAdmitsPrimary(l.cfg.Policy.PrimaryPath(l.st, *c))
+	return at
+}
+
+// close ends the run's accounting at the horizon: it flushes every
+// link's occupancy integral, materializes the per-pair maps, normalizes
+// utilization to time averages over the window, and closes the windows
+// and the event stream.
+func (l *loop) close() {
 	for id := range l.occ {
 		l.flushLink(graph.LinkID(id), l.horizon)
 	}
@@ -759,6 +791,66 @@ func (l *loop) finish() {
 		ev.Offered, ev.Blocked = res.Offered, res.Blocked
 		obs.Emit(l.sink, ev)
 	}
+}
+
+// init makes l the accounting of one run of cfg over [cfg.Warmup,
+// horizon) with the given failure plan, counting into res: the one
+// constructor of Run's, RunWithRetrials' and RunSignaling's loop.
+//
+//altlint:hotpath
+func (l *loop) init(cfg Config, res *Result, horizon float64, plan []FailureEvent) {
+	numLinks, numNodes := cfg.Graph.NumLinks(), cfg.Graph.NumNodes()
+	res.Policy = cfg.Policy.Name()
+	res.LostAtLink = make([]int64, numLinks)
+	res.LinkTimeUtil = make([]float64, numLinks)
+	st := NewState(cfg.Graph)
+	*l = loop{
+		cfg:      cfg,
+		st:       st,
+		res:      res,
+		plan:     plan,
+		horizon:  horizon,
+		numNodes: numNodes,
+		// Per-pair counters accumulate in dense matrices on the hot path
+		// (one index computation per call instead of two map insertions);
+		// the public map form is materialized once at the end (close).
+		pairOffered: make([]int64, numNodes*numNodes),
+		pairBlocked: make([]int64, numNodes*numNodes),
+		// The nil test happens once; hot-path instrumentation blocks are
+		// gated on the resulting boolean so disabled runs skip event
+		// construction entirely, and every emission goes through obs.Emit
+		// (sink-discipline) with the run's one event.
+		sink:            cfg.Sink,
+		instrumented:    cfg.Sink != nil,
+		occupancyEvents: cfg.Sink != nil && cfg.OccupancyEvents,
+		util:            res.LinkTimeUtil,
+		last:            make([]float64, numLinks),
+		occ:             st.occ,
+	}
+	l.deps.init(horizon, len(plan) > 0)
+}
+
+// setUp checks the Config of a set-up engine (RunWithRetrials,
+// RunSignaling) and resolves its horizon. The Config must be complete,
+// with a Trace whose calls an int32 queue index can name, and must set
+// none of the fields those engines do not honour: they emit no events,
+// keep no windows and run no failure plan.
+func (cfg *Config) setUp(engine string) (float64, error) {
+	switch {
+	case cfg.Graph == nil || cfg.Policy == nil || cfg.Trace == nil:
+		return 0, fmt.Errorf("sim: incomplete config")
+	case len(cfg.Trace.Calls) > math.MaxInt32:
+		return 0, fmt.Errorf("sim: %d calls exceed the %s queue's int32 index", len(cfg.Trace.Calls), engine)
+	case cfg.Sink != nil:
+		return 0, fmt.Errorf("sim: %s takes no Sink", engine)
+	case cfg.WindowLength > 0:
+		return 0, fmt.Errorf("sim: %s keeps no windows (WindowLength %v)", engine, cfg.WindowLength)
+	case cfg.Failures != nil && len(cfg.Failures.Events) > 0:
+		return 0, fmt.Errorf("sim: %s runs no failure plan", engine)
+	case cfg.TopologyHook != nil:
+		return 0, fmt.Errorf("sim: %s takes no TopologyHook", engine)
+	}
+	return cfg.window(cfg.Trace.Horizon)
 }
 
 // window resolves a run's horizon — cfg.Horizon, else the arrival
@@ -813,38 +905,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	st := NewState(cfg.Graph)
-	res := &Result{
-		Policy:       cfg.Policy.Name(),
-		LostAtLink:   make([]int64, cfg.Graph.NumLinks()),
-		LinkTimeUtil: make([]float64, cfg.Graph.NumLinks()),
-	}
-	// Per-pair counters accumulate in dense matrices on the hot path (one
-	// index computation per call instead of two map insertions); the public
-	// map form is materialized once at the end (loop.finish).
-	numNodes := cfg.Graph.NumNodes()
-	l := &loop{
-		cfg:         cfg,
-		st:          st,
-		res:         res,
-		plan:        plan,
-		horizon:     horizon,
-		numNodes:    numNodes,
-		pairOffered: make([]int64, numNodes*numNodes),
-		pairBlocked: make([]int64, numNodes*numNodes),
-		// The nil test happens once; hot-path instrumentation blocks are
-		// gated on the resulting boolean so disabled runs skip event
-		// construction entirely, and every emission goes through obs.Emit
-		// (sink-discipline) with the one event allocated below.
-		sink:         cfg.Sink,
-		instrumented: cfg.Sink != nil,
-		util:         res.LinkTimeUtil,
-		last:         make([]float64, cfg.Graph.NumLinks()),
-		occ:          st.occ,
-	}
-	l.occupancyEvents = l.instrumented && cfg.OccupancyEvents
-	l.deps.init(horizon, len(plan) > 0)
-
+	res := &Result{}
+	var l loop
+	l.init(cfg, res, horizon, plan)
 	if l.instrumented {
 		l.ev = new(obs.Event)
 		ev := l.ev.Reset(obs.KindRunStart, 0)
@@ -852,9 +915,10 @@ func Run(cfg Config) (*Result, error) {
 		obs.Emit(l.sink, ev)
 	}
 	var th routetable.Thresholds
-	if err := l.run(&th, compileFor(cfg.Policy, st, &th)); err != nil {
+	if err := l.run(&th, compileFor(cfg.Policy, l.st, &th)); err != nil {
 		return nil, err
 	}
-	l.finish()
+	l.drainTo(horizon)
+	l.close()
 	return res, nil
 }

@@ -74,10 +74,12 @@ type AttemptPolicy interface {
 // the events in flight, each naming its call's slot. Queued events
 // strictly before an arrival run first, and equal epochs pop in push
 // order, so every event runs in (epoch, arrival-before-queued, push)
-// order.
+// order. Calls are counted, links' occupancy integrated and the run
+// closed by Run's accounting.
 func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
-	if cfg.Graph == nil || cfg.Policy == nil || cfg.Trace == nil {
-		return nil, fmt.Errorf("sim: incomplete config")
+	horizon, err := cfg.setUp("signaling")
+	if err != nil {
+		return nil, err
 	}
 	ap, ok := cfg.Policy.(AttemptPolicy)
 	if !ok {
@@ -87,14 +89,7 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 	if !(d >= 0 && d <= math.MaxFloat64) {
 		return nil, fmt.Errorf("sim: hop delay %v must be finite and non-negative", d)
 	}
-	horizon, err := cfg.window(cfg.Trace.Horizon)
-	if err != nil {
-		return nil, err
-	}
 	calls := cfg.Trace.Calls
-	if len(calls) > math.MaxInt32 {
-		return nil, fmt.Errorf("sim: %d calls exceed the signaling queue's int32 index", len(calls))
-	}
 	// Check the calls before the horizon and find the longest set-up chain
 	// one call can schedule: attempt k's forward pass and booking pass take
 	// 2·hops_k+1 hop delays at most. Every set-up event lies within that
@@ -133,8 +128,11 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 		return nil, fmt.Errorf("sim: hop delay %v overflows the set-up horizon", d)
 	}
 
-	st := NewState(cfg.Graph)
-	res := &SignalingResult{Result: cfg.eventResult()}
+	res := &SignalingResult{}
+	var l loop
+	l.init(cfg.Config, &res.Result, horizon, nil)
+	st := l.st
+	var n tally
 
 	var q calendar.Queue
 	q.Init(bound)
@@ -144,17 +142,17 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 		q.Insert(calendar.Entry{At: at, Ref: s, N: int32(hop<<2 | kind)})
 	}
 
-	measured := func(c Call) bool { return c.Arrival >= cfg.Warmup && c.Arrival < horizon }
+	measured := func(c *Call) bool { return c.Arrival >= cfg.Warmup }
 	// startAttempt launches the forward pass of the call's next candidate,
 	// or records a block when the suite is exhausted.
 	startAttempt := func(now float64, s int32) {
 		sl := &slots[s]
-		c := calls[sl.call]
-		p, alternate, ok := ap.Attempt(c, int(sl.attempt))
+		c := &calls[sl.call]
+		p, alternate, ok := ap.Attempt(*c, int(sl.attempt))
 		sl.attempt++
 		if !ok {
 			if measured(c) {
-				res.lose(st, ap, c)
+				l.block(&n, c, l.lossLink(c))
 			}
 			free = append(free, s)
 			return
@@ -166,28 +164,21 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 	// schedules its departure.
 	commence := func(now float64, s int32) {
 		sl := &slots[s]
-		c := calls[sl.call]
+		c := &calls[sl.call]
 		if measured(c) {
-			res.Accepted++
-			res.CarriedHopCount += int64(sl.path.Hops())
+			n.admit(sl.path.Hops(), sl.alternate)
 			res.SetupRTTSum += now - c.Arrival
-			if sl.alternate {
-				res.AlternateAccepted++
-			} else {
-				res.PrimaryAccepted++
-			}
 		}
 		push(now+c.Holding, s, sigRelease, 0)
 	}
 
-	util := occupancyIntegral{st: st, util: res.LinkTimeUtil, warmup: cfg.Warmup, horizon: horizon}
+	// Every occupancy change flushes the link's integral first.
 	drain := func(epoch float64) {
 		for {
 			e, ok := q.PopTo(epoch)
 			if !ok {
 				return
 			}
-			util.advance(e.At)
 			s, hop := e.Ref, int(e.N>>2)
 			p := slots[s].path
 			switch e.N & 3 {
@@ -217,12 +208,14 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 					// Race lost: release downstream bookings (hops > hop)
 					// and move to the next candidate.
 					res.BookingFailures++
-					for h := hop + 1; h < p.Hops(); h++ {
-						st.ReleaseLink(p.Links[h])
+					for _, down := range p.Links[hop+1:] {
+						l.flushLink(down, e.At)
+						st.ReleaseLink(down)
 					}
 					startAttempt(e.At, s)
 					break
 				}
+				l.flushLink(id, e.At)
 				st.OccupyLink(id)
 				if hop > 0 {
 					push(e.At+d, s, sigBook, hop-1)
@@ -232,21 +225,21 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 				commence(e.At, s)
 
 			case sigRelease:
-				st.Release(p)
+				l.departed(e.At, p)
 				free = append(free, s)
 			}
 		}
 	}
 
-	for i, c := range calls[:arrivals] {
+	for i := range calls[:arrivals] {
+		c := &calls[i]
 		drain(math.Nextafter(c.Arrival, math.Inf(-1)))
-		util.advance(c.Arrival)
 		if measured(c) {
-			res.offer(c)
+			l.offer(&n, c)
 		}
 		var s int32
-		if n := len(free); n > 0 {
-			s, free = free[n-1], free[:n-1]
+		if k := len(free); k > 0 {
+			s, free = free[k-1], free[:k-1]
 			slots[s] = sigSlot{call: int32(i)}
 		} else {
 			s = int32(len(slots))
@@ -255,75 +248,7 @@ func RunSignaling(cfg SignalingConfig) (*SignalingResult, error) {
 		startAttempt(c.Arrival, s)
 	}
 	drain(bound)
-	res.Span = util.finish()
+	n.addTo(&res.Result)
+	l.close()
 	return res, nil
-}
-
-// eventResult returns the empty Result RunWithRetrials and RunSignaling
-// count into.
-func (cfg *Config) eventResult() Result {
-	return Result{
-		Policy:         cfg.Policy.Name(),
-		PerPairOffered: make(map[[2]graph.NodeID]int64),
-		PerPairBlocked: make(map[[2]graph.NodeID]int64),
-		LostAtLink:     make([]int64, cfg.Graph.NumLinks()),
-		LinkTimeUtil:   make([]float64, cfg.Graph.NumLinks()),
-	}
-}
-
-// offer counts a measured call's first offer.
-func (r *Result) offer(c Call) {
-	r.Offered++
-	r.PerPairOffered[[2]graph.NodeID{c.Origin, c.Dest}]++
-}
-
-// lose counts a measured call's definitive loss, attributed to the first
-// blocking link of its primary path (the paper's convention).
-func (r *Result) lose(st *State, pol Policy, c Call) {
-	r.Blocked++
-	r.PerPairBlocked[[2]graph.NodeID{c.Origin, c.Dest}]++
-	if admitted, at := st.PathAdmitsPrimary(pol.PrimaryPath(st, c)); !admitted && at != graph.InvalidLink {
-		r.LostAtLink[at]++
-	}
-}
-
-// occupancyIntegral integrates every link's occupancy over the measurement
-// window [warmup, horizon) for the event-heap engines (RunSignaling,
-// RunWithRetrials): advance runs before each event at its epoch, finish
-// closes the window, normalizes util to time averages and returns the
-// window length (Result.Span).
-type occupancyIntegral struct {
-	st              *State
-	util            []float64
-	warmup, horizon float64
-	last            float64
-}
-
-func (o *occupancyIntegral) advance(now float64) {
-	lo := o.last
-	if lo < o.warmup {
-		lo = o.warmup
-	}
-	hi := now
-	if hi > o.horizon {
-		hi = o.horizon
-	}
-	if hi > lo {
-		dt := hi - lo
-		for id := range o.util {
-			o.util[id] += dt * float64(o.st.Occupancy(graph.LinkID(id)))
-		}
-	}
-	if now > o.last {
-		o.last = now
-	}
-}
-
-func (o *occupancyIntegral) finish() float64 {
-	o.advance(o.horizon)
-	window := o.horizon - o.warmup
-	for id := range o.util {
-		o.util[id] /= window
-	}
-	return window
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -85,12 +86,9 @@ func TestSignalingZeroDelayMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Accepted != want.Accepted || got.Blocked != want.Blocked ||
-			got.AlternateAccepted != want.AlternateAccepted {
-			t.Errorf("seed %d: signaling (acc %d blk %d alt %d) vs instantaneous (acc %d blk %d alt %d)",
-				seed, got.Accepted, got.Blocked, got.AlternateAccepted,
-				want.Accepted, want.Blocked, want.AlternateAccepted)
-		}
+		// Zero delay books each call at its arrival epoch: the whole
+		// Result is Run's, LinkTimeUtil bits included.
+		requireIdenticalResult(t, fmt.Sprintf("seed %d", seed), &got.Result, want)
 		if got.BookingFailures != 0 {
 			t.Errorf("seed %d: %d booking failures with zero delay", seed, got.BookingFailures)
 		}
@@ -184,6 +182,21 @@ func TestSignalingValidation(t *testing.T) {
 	}
 	if _, err := RunSignaling(SignalingConfig{}); err == nil {
 		t.Error("empty config: want error")
+	}
+}
+
+// TestSignalingRefusesUnhonouredConfig: a Config field the signaling
+// engine would silently ignore is an error.
+func TestSignalingRefusesUnhonouredConfig(t *testing.T) {
+	g, primary, alt, m := signalingFixture(t)
+	base := Config{Graph: g, Policy: twoAttempt{primary: primary, alt: alt}, Trace: GenerateTrace(m, 30, 1)}
+	if _, err := RunSignaling(SignalingConfig{Config: base, HopDelay: 0.01}); err != nil {
+		t.Fatalf("base config: %v", err)
+	}
+	for _, c := range unhonoured(base) {
+		if _, err := RunSignaling(SignalingConfig{Config: c.cfg, HopDelay: 0.01}); err == nil {
+			t.Errorf("%s set: want error", c.field)
+		}
 	}
 }
 
